@@ -1246,16 +1246,15 @@ let run_exec_bench () =
         (fun acc (m : Distsim.Network.message) ->
           match m.Distsim.Network.purpose with
           | Distsim.Network.Join_attributes _ ->
-            acc + Distsim.Network.wire_bytes m
+            acc + m.Distsim.Network.bytes
           | _ -> acc)
         0
         (Distsim.Network.messages net)
     in
     let run ?bloom () =
       match
-        Distsim.Engine.execute
-          ~executor:(module Batch.Exec)
-          ?bloom Scenario.Medical.catalog ~instances:scaled plan assignment
+        Distsim.Engine.execute ?bloom Scenario.Medical.catalog
+          ~instances:scaled plan assignment
       with
       | Ok o -> o
       | Error e ->
@@ -1304,6 +1303,104 @@ let run_exec_bench () =
           (1.0 -. (float_of_int bb /. float_of_int eb)))
       [ 4; 8; 16 ]
   in
+  (* End-to-end point: Federation.query on a warm plan cache at 10^4
+     rows (an 8-relation chain, a 3-join query), served by the columnar
+     engine over instances the federation encoded once, against the
+     relation-backed oracle engine running the same cached plan and
+     the same audit. Asserts identical answers, message logs and audit
+     entries, and a served speedup of at least 2.5x (medians of five
+     runs; min and max reported as the spread). *)
+  let served_point rows =
+    let rng = Rng.make ~seed:301 in
+    let sys =
+      System_gen.generate rng ~relations:8 ~servers:8 ~extra:2
+        ~topology:System_gen.Chain
+    in
+    let policy =
+      Authz_gen.generate (Rng.make ~seed:11) ~max_path:3 ~attr_keep:1.0
+        ~density:1.0 sys
+    in
+    let instances = Data_gen.instances rng ~rows sys in
+    let fed =
+      Federation.create ~catalog:sys.System_gen.catalog ~policy ~instances ()
+    in
+    let sql =
+      List.find_map
+        (fun i ->
+          Option.map Query.to_string
+            (Query_gen.generate (Rng.make ~seed:(700 + i)) ~where_prob:0.0
+               ~joins:3 sys))
+        (List.init 50 Fun.id)
+      |> Option.get
+    in
+    let serve () =
+      match Federation.query fed sql with
+      | Ok r -> r
+      | Error e ->
+        failwith (Fmt.str "exec bench: served query failed: %a"
+                    Federation.pp_error e)
+    in
+    let warm = serve () in
+    let oracle () =
+      match
+        Oracle.Engine.execute ~third_party:(warm.rescues <> [])
+          sys.System_gen.catalog ~instances warm.plan warm.assignment
+      with
+      | Ok o -> (o, Distsim.Audit.run policy o.network)
+      | Error e ->
+        failwith (Fmt.str "exec bench: oracle run failed: %a"
+                    Distsim.Engine.pp_error e)
+    in
+    let timed f =
+      let samples =
+        List.init 5 (fun _ ->
+            let t0 = Unix.gettimeofday () in
+            let v = Sys.opaque_identity (f ()) in
+            (Unix.gettimeofday () -. t0, v))
+      in
+      let ts = List.sort Float.compare (List.map fst samples) in
+      (List.nth ts 2, List.hd ts, List.nth ts 4, snd (List.hd samples))
+    in
+    let served_p50, served_min, served_max, served = timed serve in
+    let oracle_p50, oracle_min, oracle_max, (reference, audit) =
+      timed oracle
+    in
+    let entries =
+      match audit with
+      | Ok es -> es
+      | Error _ -> failwith "exec bench: oracle run fails its audit"
+    in
+    let served_entries =
+      let log = Federation.audit_log fed in
+      List.filteri
+        (fun i _ -> i >= List.length log - List.length entries)
+        log
+    in
+    if not (Relation.equal served.result reference.result) then
+      failwith "exec bench: served answer differs from the oracle";
+    (match
+       Oracle.log_mismatch
+         (List.map (fun (e : Distsim.Audit.entry) -> e.message) served_entries)
+         (Distsim.Network.messages reference.network)
+     with
+     | Some d -> failwith ("exec bench: served message log drift: " ^ d)
+     | None -> ());
+    let render es = List.map (Fmt.str "%a" Distsim.Audit.pp_entry) es in
+    if render served_entries <> render entries then
+      failwith "exec bench: served audit differs from the oracle";
+    let speedup = oracle_p50 /. served_p50 in
+    if speedup < 2.5 then
+      failwith
+        (Printf.sprintf
+           "exec bench: served speedup %.2fx below the 2.5x budget at %d rows"
+           speedup rows);
+    Printf.sprintf
+      {|{"kind":"served","rows":%d,"joins":3,"result_rows":%d,"messages":%d,"bytes":%d,"served_seconds":%.6f,"served_min_seconds":%.6f,"served_max_seconds":%.6f,"oracle_seconds":%.6f,"oracle_min_seconds":%.6f,"oracle_max_seconds":%.6f,"speedup":%.2f}|}
+      rows
+      (Relation.cardinality served.result)
+      served.messages served.bytes served_p50 served_min served_max oracle_p50
+      oracle_min oracle_max speedup
+  in
   let throughput =
     List.map throughput_point [ 10_000; 100_000; 1_000_000 ]
   in
@@ -1314,7 +1411,9 @@ let run_exec_bench () =
          "exec bench: batch speedup %.1fx below the 10x budget at 10^6 rows"
          top_speedup);
   let entries =
-    List.map fst throughput @ List.concat_map bloom_points [ 200; 1000; 4000 ]
+    List.map fst throughput
+    @ List.concat_map bloom_points [ 200; 1000; 4000 ]
+    @ [ served_point 10_000 ]
   in
   let oc = open_out "BENCH_exec.json" in
   Printf.fprintf oc {|{"bench":"executor-throughput","entries":[%s]}|}

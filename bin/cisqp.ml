@@ -133,6 +133,12 @@ let service_error loc fmt =
       exit 2)
     fmt
 
+let check_deadline = function
+  | Some d when d <= 0 ->
+    service_error (D.Flag "--deadline")
+      "expected a positive logical-step budget, got %d" d
+  | _ -> ()
+
 (* Resolve the federation from flags: files override the scenario. *)
 let federation_of scenario schema authz data extra_helpers =
   match schema with
@@ -464,16 +470,6 @@ let run_cmd =
             "Logical-step budget for the execution; exceeding it abandons \
              the query with a typed deadline-exceeded outcome.")
   in
-  let executor_arg =
-    Arg.(
-      value
-      & opt (enum [ ("naive", `Naive); ("batch", `Batch) ]) `Naive
-      & info [ "executor" ] ~docv:"NAME"
-          ~doc:
-            "Physical executor for every operator: $(b,naive) (the \
-             tuple-at-a-time reference) or $(b,batch) (the columnar batch \
-             executor). Results are identical.")
-  in
   let bloom_arg =
     Arg.(
       value & opt (some int) None
@@ -518,10 +514,10 @@ let run_cmd =
         violations
   in
   let run_faulty fed handle plan fault ~third_party ~makespan ~certify
-      ~deadline ~executor ~bloom cert_out =
+      ~deadline ~bloom cert_out =
     let helpers = if third_party then fed.helpers else [] in
     match
-      Distsim.Recover.execute ~helpers ~executor ?bloom ?deadline fed.catalog
+      Distsim.Recover.execute ~helpers ?bloom ?deadline fed.catalog
         fed.policy ~instances:fed.instances ~fault plan
     with
     | Error (d : Distsim.Recover.degraded) ->
@@ -562,27 +558,17 @@ let run_cmd =
           plan r.Distsim.Recover.assignment cert_out
   in
   let run fed sql third_party no_semijoins optimize chase certify cert_out
-      makespan crashes drop corrupt fault_seed retries deadline exec_choice
-      bloom =
+      makespan crashes drop corrupt fault_seed retries deadline bloom =
     if certify && optimize then
       usage_error (D.Flag "--certify")
         "--certify and --optimize cannot be combined: certificates replay \
          the canonical plan shape derived from the SQL";
-    (match deadline with
-     | Some d when d <= 0 ->
-       service_error (D.Flag "--deadline")
-         "expected a positive logical-step budget, got %d" d
-     | _ -> ());
+    check_deadline deadline;
     (match bloom with
      | Some b when b < 1 ->
        service_error (D.Flag "--bloom")
          "expected at least 1 bit per key, got %d" b
      | _ -> ());
-    let executor =
-      match exec_choice with
-      | `Naive -> (module Relalg.Exec.Reference : Relalg.Exec.S)
-      | `Batch -> (module Relalg.Batch.Exec : Relalg.Exec.S)
-    in
     let fed, handle = with_chase chase fed in
     let query = parse_query fed sql in
     match fault_of crashes drop corrupt fault_seed retries with
@@ -591,13 +577,13 @@ let run_cmd =
          planning flags of the clean path do not apply. *)
       let plan = Query.to_plan query in
       run_faulty fed handle plan fault ~third_party ~makespan ~certify
-        ~deadline ~executor ~bloom cert_out
+        ~deadline ~bloom cert_out
     | None ->
       let plan, assignment, _ =
         plan_query fed query ~third_party ~no_semijoins ~optimize
       in
       (match
-         Distsim.Engine.execute ~third_party ~executor ?bloom ?deadline
+         Distsim.Engine.execute ~third_party ?bloom ?deadline
            fed.catalog ~instances:fed.instances plan assignment
        with
        | Error e -> die "execution error: %a" Distsim.Engine.pp_error e
@@ -627,7 +613,7 @@ let run_cmd =
       const run $ federation_term $ sql_arg $ third_party_flag
       $ no_semijoins_flag $ optimize_flag $ chase_flag $ certify_flag
       $ cert_out_arg $ makespan_flag $ crash_arg $ drop_arg $ corrupt_arg
-      $ fault_seed_arg $ retries_arg $ deadline_arg $ executor_arg $ bloom_arg)
+      $ fault_seed_arg $ retries_arg $ deadline_arg $ bloom_arg)
 
 let advise_cmd =
   let run fed sql =
@@ -1225,11 +1211,7 @@ let serve_cmd =
       usage_error (D.Flag "--cache-capacity") "cache capacity must be >= 0";
     if chase && Authz.Policy.is_open fed.policy then
       usage_error (D.Flag "--chase") "--chase applies to closed policies only";
-    (match deadline with
-     | Some d when d <= 0 ->
-       service_error (D.Flag "--deadline")
-         "expected a positive logical-step budget, got %d" d
-     | _ -> ());
+    check_deadline deadline;
     (match quota with
      | Some r when r <= 0.0 ->
        service_error (D.Flag "--quota")

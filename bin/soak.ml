@@ -3,13 +3,11 @@
    Clean slice (--cases, default 2000): greedy-infeasible implies
    exhaustively infeasible (completeness on small plans), planner
    output passes the independent safety checker, distributed execution
-   equals centralized evaluation, and the runtime audit is clean.
-
-   Executor slice (--exec-cases, default 500): the physical-executor
-   differential — each safely planned case re-runs under the columnar
-   batch executor, under Bloom-reduced semi-joins, and under both;
-   every variant must equal the centralized reference, audit clean,
-   and exchange exactly as many messages as the reference run.
+   equals centralized evaluation, and the runtime audit is clean. It
+   is also the engine differential: every planned case runs on the
+   columnar production engine and on the relation-backed oracle
+   engine, with exact and with Bloom-reduced semi-joins, and the two
+   must agree on steps and on every field of every message.
 
    Fault slice (--fault-cases, default 1000): the same differential
    under seeded fault injection — crash windows, lossy and corrupting
@@ -63,7 +61,6 @@ let knowledge_cases = ref 2000
 let certify_cases = ref 2000
 let service_cases = ref 500
 let health_cases = ref 300
-let exec_cases = ref 500
 
 let () =
   let rec parse = function
@@ -86,9 +83,6 @@ let () =
     | "--health-cases" :: v :: rest ->
       health_cases := int_of_string v;
       parse rest
-    | "--exec-cases" :: v :: rest ->
-      exec_cases := int_of_string v;
-      parse rest
     | arg :: _ ->
       Fmt.epr "soak: unknown argument %s@." arg;
       exit 2
@@ -97,6 +91,14 @@ let () =
 
 let failures = ref 0
 
+(* A seeded case's join graph: chain, star or a random spanning tree
+   with [chords] extra edges, in turn. *)
+let topology_of ?(chords = 2) seed =
+  match seed mod 3 with
+  | 0 -> System_gen.Chain
+  | 1 -> System_gen.Star
+  | _ -> System_gen.Random { extra_edges = chords }
+
 (* ------------------------------------------------------------------ *)
 (* Clean slice.                                                        *)
 
@@ -104,12 +106,7 @@ let clean_slice () =
   let planned = ref 0 and total = ref 0 in
   for seed = 1 to !cases do
     let rng = Rng.make ~seed in
-    let topology =
-      match seed mod 3 with
-      | 0 -> System_gen.Chain
-      | 1 -> System_gen.Star
-      | _ -> System_gen.Random { extra_edges = 2 }
-    in
+    let topology = topology_of seed in
     let relations = 4 + (seed mod 4) in
     let sys =
       System_gen.generate ~replication:(if seed mod 5 = 0 then 0.5 else 0.0)
@@ -136,101 +133,36 @@ let clean_slice () =
             incr failures;
             Fmt.pr "UNSAFE plan at seed %d@." seed);
          let instances = Data_gen.instances rng ~rows:12 sys in
-         (match Distsim.Engine.execute sys.catalog ~instances plan assignment with
-          | Error e ->
-            incr failures;
-            Fmt.pr "ENGINE error at seed %d: %a@." seed Distsim.Engine.pp_error e
-          | Ok { result; network; _ } ->
-            let reference = Distsim.Engine.centralized ~instances plan in
-            if not (Relation.equal result reference) then begin
-              incr failures;
-              Fmt.pr "WRONG RESULT at seed %d@." seed
-            end;
-            if not (Distsim.Audit.is_clean policy network) then begin
-              incr failures;
-              Fmt.pr "AUDIT failure at seed %d@." seed
-            end))
+         let reference = Distsim.Engine.centralized ~instances plan in
+         let fail what =
+           Fmt.kstr (fun m ->
+               incr failures;
+               Fmt.pr "%s%s at seed %d@." what m seed)
+         in
+         List.iter
+           (fun (what, bloom) ->
+             match
+               ( Distsim.Engine.execute ?bloom sys.catalog ~instances plan
+                   assignment,
+                 Oracle.Engine.execute ?bloom sys.catalog ~instances plan
+                   assignment )
+             with
+             | Error e, _ | _, Error e ->
+               fail what "ENGINE error: %a" Distsim.Engine.pp_error e
+             | Ok o, Ok r ->
+               if not (Relation.equal o.result reference) then
+                 fail what "WRONG RESULT";
+               if not (Distsim.Audit.is_clean policy o.network) then
+                 fail what "AUDIT failure";
+               if o.steps <> r.steps then fail what "ORACLE step drift";
+               Option.iter
+                 (fail what "ORACLE log drift: %s")
+                 (Oracle.log_mismatch
+                    (Distsim.Network.messages o.network)
+                    (Distsim.Network.messages r.network)))
+           [ ("", None); ("BLOOM ", Some [| 2; 4; 8; 16 |].(seed mod 4)) ])
   done;
   Fmt.pr "soak (clean): %d cases, %d planned@." !total !planned
-
-(* ------------------------------------------------------------------ *)
-(* Executor slice: reference vs batch vs batch+bloom on random
-   federations. All three runs of each case must produce the
-   centralized reference answer, leave a clean audit, and — since the
-   executor changes only the physical operators and the Bloom variant
-   only the wire representation — exchange exactly as many messages as
-   the reference run. *)
-
-let exec_slice () =
-  let total = ref 0 in
-  for seed = 1 to !exec_cases do
-    let rng = Rng.make ~seed:(300_000 + seed) in
-    let topology =
-      match seed mod 3 with
-      | 0 -> System_gen.Chain
-      | 1 -> System_gen.Star
-      | _ -> System_gen.Random { extra_edges = 2 }
-    in
-    let relations = 4 + (seed mod 4) in
-    let sys =
-      System_gen.generate rng ~relations ~servers:relations ~extra:2 ~topology
-    in
-    let density = [| 0.4; 0.6; 0.9 |].(seed mod 3) in
-    let policy = Authz_gen.generate rng ~density sys in
-    match Query_gen.generate_plan rng ~joins:(2 + (seed mod 3)) sys with
-    | None -> ()
-    | Some plan -> (
-      match Planner.Safe_planner.plan sys.catalog policy plan with
-      | Error _ -> ()
-      | Ok { assignment; _ } ->
-        incr total;
-        let instances = Data_gen.instances rng ~rows:12 sys in
-        let reference = Distsim.Engine.centralized ~instances plan in
-        let bloom_bits = [| 2; 4; 8; 16 |].(seed mod 4) in
-        let variants =
-          [
-            ("batch", Some (module Batch.Exec : Exec.S), None);
-            ("bloom", Some (module Batch.Exec : Exec.S), Some bloom_bits);
-            ("naive+bloom", None, Some bloom_bits);
-          ]
-        in
-        let baseline_messages = ref None in
-        (match Distsim.Engine.execute sys.catalog ~instances plan assignment with
-         | Error e ->
-           incr failures;
-           Fmt.pr "EXEC baseline error at seed %d: %a@." seed
-             Distsim.Engine.pp_error e
-         | Ok { network; _ } ->
-           baseline_messages := Some (Distsim.Network.message_count network));
-        List.iter
-          (fun (what, executor, bloom) ->
-            match
-              Distsim.Engine.execute ?executor ?bloom sys.catalog ~instances
-                plan assignment
-            with
-            | Error e ->
-              incr failures;
-              Fmt.pr "EXEC %s error at seed %d: %a@." what seed
-                Distsim.Engine.pp_error e
-            | Ok { result; network; _ } ->
-              if not (Relation.equal result reference) then begin
-                incr failures;
-                Fmt.pr "EXEC %s WRONG RESULT at seed %d@." what seed
-              end;
-              if not (Distsim.Audit.is_clean policy network) then begin
-                incr failures;
-                Fmt.pr "EXEC %s AUDIT failure at seed %d@." what seed
-              end;
-              if
-                !baseline_messages
-                <> Some (Distsim.Network.message_count network)
-              then begin
-                incr failures;
-                Fmt.pr "EXEC %s protocol drift at seed %d@." what seed
-              end)
-          variants)
-  done;
-  Fmt.pr "soak (exec): %d cases x 3 executor variants@." !total
 
 (* ------------------------------------------------------------------ *)
 (* Fault slice.                                                        *)
@@ -241,12 +173,7 @@ let exec_slice () =
    crashes something to fail over to. *)
 let fault_case seed =
   let rng = Rng.make ~seed:(900_000 + seed) in
-  let topology =
-    match seed mod 3 with
-    | 0 -> System_gen.Chain
-    | 1 -> System_gen.Star
-    | _ -> System_gen.Random { extra_edges = 2 }
-  in
+  let topology = topology_of seed in
   let relations = 4 + (seed mod 3) in
   let sys =
     System_gen.generate ~replication:0.6 rng ~relations ~servers:relations
@@ -398,12 +325,7 @@ let knowledge_slice () =
     incr seed;
     let seed = !seed in
     let rng = Rng.make ~seed:(500_000 + seed) in
-    let topology =
-      match seed mod 3 with
-      | 0 -> System_gen.Chain
-      | 1 -> System_gen.Star
-      | _ -> System_gen.Random { extra_edges = 1 }
-    in
+    let topology = topology_of ~chords:1 seed in
     let relations = 3 + (seed mod 3) in
     let sys =
       System_gen.generate rng ~relations ~servers:relations ~extra:2
@@ -473,12 +395,7 @@ let certify_slice () =
     incr seed;
     let seed = !seed in
     let rng = Rng.make ~seed:(700_000 + seed) in
-    let topology =
-      match seed mod 3 with
-      | 0 -> System_gen.Chain
-      | 1 -> System_gen.Star
-      | _ -> System_gen.Random { extra_edges = 2 }
-    in
+    let topology = topology_of seed in
     let relations = 4 + (seed mod 3) in
     let sys =
       System_gen.generate rng ~relations ~servers:relations ~extra:2 ~topology
@@ -582,12 +499,7 @@ let service_slice () =
     incr seed;
     let seed = !seed in
     let rng = Rng.make ~seed:(800_000 + seed) in
-    let topology =
-      match seed mod 3 with
-      | 0 -> System_gen.Chain
-      | 1 -> System_gen.Star
-      | _ -> System_gen.Random { extra_edges = 1 }
-    in
+    let topology = topology_of ~chords:1 seed in
     let relations = 4 + (seed mod 2) in
     let sys =
       System_gen.generate rng ~relations ~servers:relations ~extra:2 ~topology
@@ -781,12 +693,7 @@ let health_slice () =
     incr seed;
     let seed = !seed in
     let rng = Rng.make ~seed:(600_000 + seed) in
-    let topology =
-      match seed mod 3 with
-      | 0 -> System_gen.Chain
-      | 1 -> System_gen.Star
-      | _ -> System_gen.Random { extra_edges = 1 }
-    in
+    let topology = topology_of ~chords:1 seed in
     let relations = 4 + (seed mod 2) in
     (* Heavy replication: quarantining a server must leave the planner
        a replica to reroute to, or the case degenerates to Infeasible
@@ -960,7 +867,6 @@ let health_slice () =
 
 let () =
   clean_slice ();
-  exec_slice ();
   fault_slice ();
   knowledge_slice ();
   certify_slice ();

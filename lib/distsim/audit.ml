@@ -19,7 +19,7 @@ type entry = {
 }
 
 let check_message policy (m : Network.message) =
-  let header = Relation.attribute_set m.data in
+  let header = Attribute.Set.of_list m.header in
   let claimed = m.profile.Profile.pi in
   if not (Attribute.Set.equal header claimed) then
     Error { message = m; reason = Header_mismatch { header; claimed } }

@@ -170,7 +170,7 @@ let simulate tasks =
 
 let tasks_of_execution ?(prefix = "q") ?(release = 0.0)
     ?(backoff = fun _ -> 0.0) (model : Timing.model) plan assignment
-    (outcome : Engine.outcome) =
+    (outcome : _ Engine.run) =
   let rows id =
     match List.assoc_opt id outcome.Engine.node_rows with
     | Some r -> float_of_int r
@@ -200,7 +200,7 @@ let tasks_of_execution ?(prefix = "q") ?(release = 0.0)
     let l = model.Timing.link msg.sender msg.receiver in
     let wire (a : Network.message) =
       l.Timing.latency
-      +. (float_of_int (Network.wire_bytes a) /. l.Timing.bandwidth)
+      +. (float_of_int a.Network.bytes /. l.Timing.bandwidth)
     in
     let chain =
       List.filter
@@ -296,8 +296,7 @@ let tasks_of_execution ?(prefix = "q") ?(release = 0.0)
           @ [
               compute ~node:n.id ~kind:"slave-join" ~at:slave
                 ~work:
-                  (rows slave_child
-                  +. float_of_int (Relation.cardinality fwd.Network.data))
+                  (rows slave_child +. float_of_int fwd.Network.rows)
                 ~deps:[ done_of slave_child; tname n.id "fwd" ];
             ]
           @ transfer ~node:n.id ~kind:"back" ~msg:back
@@ -305,8 +304,7 @@ let tasks_of_execution ?(prefix = "q") ?(release = 0.0)
           @ [
               compute ~node:n.id ~kind:"done" ~at:m
                 ~work:
-                  (rows master_child
-                  +. float_of_int (Relation.cardinality back.Network.data))
+                  (rows master_child +. float_of_int back.Network.rows)
                 ~deps:[ done_of master_child; tname n.id "back" ];
             ]
         | [ ({ purpose = Network.Join_attributes _; _ } as k1);
@@ -330,9 +328,7 @@ let tasks_of_execution ?(prefix = "q") ?(release = 0.0)
           @ [
               compute ~node:n.id ~kind:"match" ~at:coordinator
                 ~work:
-                  (float_of_int
-                     (Relation.cardinality k1.Network.data
-                     + Relation.cardinality k2.Network.data))
+                  (float_of_int (k1.Network.rows + k2.Network.rows))
                 ~deps:[ tname n.id "keys1"; tname n.id "keys2" ];
             ]
           @ transfer ~node:n.id ~kind:"matched" ~msg:matched
@@ -340,8 +336,7 @@ let tasks_of_execution ?(prefix = "q") ?(release = 0.0)
           @ [
               compute ~node:n.id ~kind:"reduce" ~at:other
                 ~work:
-                  (rows other_child
-                  +. float_of_int (Relation.cardinality matched.Network.data))
+                  (rows other_child +. float_of_int matched.Network.rows)
                 ~deps:[ done_of other_child; tname n.id "matched" ];
             ]
           @ transfer ~node:n.id ~kind:"reduced" ~msg:reduced
@@ -349,8 +344,7 @@ let tasks_of_execution ?(prefix = "q") ?(release = 0.0)
           @ [
               compute ~node:n.id ~kind:"done" ~at:m
                 ~work:
-                  (rows master_child
-                  +. float_of_int (Relation.cardinality reduced.Network.data))
+                  (rows master_child +. float_of_int reduced.Network.rows)
                 ~deps:[ done_of master_child; tname n.id "reduced" ];
             ]
         | msgs

@@ -84,7 +84,7 @@ val tasks_of_execution :
   Timing.model ->
   Plan.t ->
   Planner.Assignment.t ->
-  Engine.outcome ->
+  _ Engine.run ->
   task list
 
 val pp_graph_error : graph_error Fmt.t

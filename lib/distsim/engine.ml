@@ -5,13 +5,15 @@ let src = Logs.Src.create "cisqp.engine" ~doc:"Distributed execution engine"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type outcome = {
-  result : Relation.t;
+type 'v run = {
+  result : 'v;
   location : Server.t;
   network : Network.t;
   node_rows : (int * int) list;
   steps : int;
 }
+
+type outcome = Relation.t run
 
 type error =
   | Structure of Planner.Safety.error
@@ -45,16 +47,15 @@ module Assignment = Planner.Assignment
 (* One evaluated sub-plan: its value, the server holding it, and its
    profile (recomputed here from the operations performed, not taken
    from the planner). *)
-type piece = {
-  value : Relation.t;
+type 'v piece = {
+  value : 'v;
   at : Server.t;
   profile : Profile.t;
 }
 
-let execute ?(third_party = false)
-    ?(executor = (module Exec.Reference : Exec.S)) ?bloom ?fault ?network
-    ?deadline ?observe catalog ~instances plan assignment =
-  let module E = (val executor : Exec.S) in
+let execute_with (type v) (module E : Exec.S with type t = v)
+    ?(third_party = false) ?bloom ?fault ?network ?deadline ?observe catalog
+    ~instances plan assignment =
   (match bloom with
   | Some b when b < 1 ->
     invalid_arg "Engine.execute: bloom bits per key must be >= 1"
@@ -121,19 +122,28 @@ let execute ?(third_party = false)
          in
          retry 1)
   in
-  (* Every boundary crossing goes through here. Without an injector
-     this is exactly [Network.send]. With one, each attempt is logged
-     with its fate — an emission is an emission, delivered or not, so
-     the audit sees dropped and corrupted attempts too — and retries
-     re-emit the same data under the same profile after a deterministic
-     backoff. *)
+  (* Every boundary crossing goes through here. The value travels
+     compacted (no dead rows) and is priced once, from its own
+     representation; the log keeps it for on-demand decoding. Without
+     an injector this is one logged send. With one, each attempt is
+     logged with its fate — an emission is an emission, delivered or
+     not, so the audit sees dropped and corrupted attempts too — and
+     retries re-emit the same data under the same profile after a
+     deterministic backoff. *)
   let xmit ?(payload = Network.Rows) ~node ~sender ~receiver ~profile ~purpose
-      ~note data =
+      ~note value =
+    let value = E.compact value in
+    let header = E.header value and rows = E.cardinality value in
+    let bytes = E.byte_size value and decoded = lazy (E.to_relation value) in
+    let log ?attempt ?delivery () =
+      Network.record network ?attempt ?delivery ~payload ~sender ~receiver
+        ~profile ~purpose ~note ~header ~rows ~bytes decoded
+    in
     match fault with
     | None ->
       charge node;
-      Network.send network ~payload ~sender ~receiver ~profile ~purpose ~note
-        data
+      log ();
+      value
     | Some f ->
       let max_attempts = 1 + (Fault.plan_of f).Fault.max_retries in
       let rec attempt k =
@@ -158,16 +168,14 @@ let execute ?(third_party = false)
         in
         match verdict with
         | `Deliver ->
-          Network.send network ~attempt:k ~payload ~sender ~receiver ~profile
-            ~purpose ~note data
+          log ~attempt:k ();
+          value
         | (`Mute | `Lost | `Corrupt) as v ->
           (if v <> `Mute then
-             let delivery =
-               if v = `Corrupt then Network.Corrupted else Network.Dropped
-             in
-             ignore
-               (Network.send network ~attempt:k ~delivery ~payload ~sender
-                  ~receiver ~profile ~purpose ~note data));
+             log ~attempt:k
+               ~delivery:
+                 (if v = `Corrupt then Network.Corrupted else Network.Dropped)
+               ());
           if k >= max_attempts then
             raise
               (Fail (Transfer_failed { sender; receiver; node; attempts = k }))
@@ -180,16 +188,16 @@ let execute ?(third_party = false)
       check_deadline node;
       attempt 1
   in
-  let rec go (n : Plan.node) : piece =
+  let rec go (n : Plan.node) : v piece =
     let piece = go_op n in
-    rows := (n.id, Relation.cardinality piece.value) :: !rows;
+    let card = E.cardinality piece.value in
+    rows := (n.id, card) :: !rows;
     Option.iter (fun f -> f n.id piece.value) observe;
     Log.debug (fun m ->
-        m "n%d done at %a: %d tuples" n.id Server.pp piece.at
-          (Relation.cardinality piece.value));
+        m "n%d done at %a: %d tuples" n.id Server.pp piece.at card);
     piece
 
-  and go_op (n : Plan.node) : piece =
+  and go_op (n : Plan.node) : v piece =
     let exec = exec_of n in
     let master = exec.Assignment.master in
     match n.op with
@@ -247,17 +255,14 @@ let execute ?(third_party = false)
       ensure_up master n.id;
       let cond = Planner.Safety.oriented_cond cond l in
       let profile = Profile.join cond lp.profile rp.profile in
-      let join_here lpiece rpiece =
-        E.equi_join cond lpiece.value rpiece.value
-      in
       if Server.equal lp.at rp.at && Server.equal master lp.at then
         (* Fully local. *)
-        { value = join_here lp rp; at = master; profile }
+        { value = E.equi_join cond lp.value rp.value; at = master; profile }
       else
         (* [semi ~m ~o ~mj] runs the five-step protocol of Figure 5
            with [m] the master-side piece (joining on its [mj]
            attributes) and [o] the other (slave-side) piece. *)
-        let semi ~slave ~(m : piece) ~(o : piece) ~mj ~oj ~left_is_master =
+        let semi ~slave ~(m : v piece) ~(o : v piece) ~mj ~oj ~left_is_master =
           (* Step 1: master projects its join attributes. *)
           let mj_set = Attribute.Set.of_list mj in
           let r_j = E.project mj_set m.value in
@@ -294,13 +299,8 @@ let execute ?(third_party = false)
                message still records [r_j] as its data — that is the
                information the filter discloses, so profile and audit
                accounting are unchanged — but only the filter's bits
-               cross the wire ({!Network.wire_bytes}). *)
-            let filter =
-              Bloom.of_keys ~bits_per_key
-                (List.map
-                   (fun tu -> Tuple.values_of tu mj)
-                   (Relation.tuples r_j))
-            in
+               cross the wire. *)
+            let filter = E.bloom ~bits_per_key mj r_j in
             ignore
               (xmit ~node:n.id
                  ~payload:
@@ -315,12 +315,7 @@ let execute ?(third_party = false)
                the step-5 join at the master discards them; the result
                is exact either way. *)
             ensure_up slave n.id;
-            let reduced =
-              Relation.make (Relation.header o.value)
-                (List.filter
-                   (fun tu -> Bloom.mem filter (Tuple.values_of tu oj))
-                   (Relation.tuples o.value))
-            in
+            let reduced = E.bloom_reduce filter oj o.value in
             (* Step 4: ship the reduced operand back. Its header is the
                slave operand's alone — no copy of [mj] rides along as in
                the exact path — so its profile keeps the join/sigma
@@ -346,7 +341,7 @@ let execute ?(third_party = false)
             in
             { value; at = master; profile }
         in
-        let regular ~(m : piece) ~(o : piece) ~left_is_master =
+        let regular ~(m : v piece) ~(o : v piece) ~left_is_master =
           let shipped =
             xmit ~node:n.id ~sender:o.at ~receiver:master
               ~profile:o.profile
@@ -363,7 +358,7 @@ let execute ?(third_party = false)
         (* Coordinator join (footnote 3): a third party matches the
            join columns of both operands; the non-master operand is
            reduced to the matching tuples and shipped to the master. *)
-        let coordinated ~t ~(m : piece) ~(o : piece) ~mj ~oj ~left_master =
+        let coordinated ~t ~(m : v piece) ~(o : v piece) ~mj ~oj ~left_master =
           let mj_set = Attribute.Set.of_list mj in
           let oj_set = Attribute.Set.of_list oj in
           let joined_info pi =
@@ -485,6 +480,22 @@ let execute ?(third_party = false)
         steps = spent ();
       }
   | exception Fail e -> Error e
+
+let store instances =
+  let dict = Batch.Dict.create () and memo = Hashtbl.create 8 in
+  fun name ->
+    match Hashtbl.find_opt memo name with
+    | Some b -> b
+    | None ->
+      let b = Option.map (Batch.of_relation dict) (instances name) in
+      Hashtbl.add memo name b;
+      b
+
+let execute ?third_party ?bloom ?fault ?deadline catalog ~instances plan
+    assignment =
+  execute_with (module Batch) ?third_party ?bloom ?fault ?deadline catalog
+    ~instances:(store instances) plan assignment
+  |> Result.map (fun o -> { o with result = Batch.to_relation o.result })
 
 let centralized ~instances plan =
   let lookup schema =

@@ -15,12 +15,20 @@
     Every transfer is logged to a {!Network.t} with the profile of the
     transmitted relation, recomputed from the operations actually
     performed — independently of the planner — so that {!Audit.run}
-    cross-checks planning-time safety against runtime behaviour. *)
+    cross-checks planning-time safety against runtime behaviour.
+
+    The engine is written once, over {!Relalg.Exec.S}
+    ({!execute_with}). Production runs it on {!Relalg.Batch}: encoded
+    instances in, columnar nodes and protocol steps, messages priced
+    from codes, only the answer decoded. The relation-backed
+    instantiation is a test oracle. *)
 
 open Relalg
 
-type outcome = {
-  result : Relation.t;  (** the query answer *)
+(** One successful execution, its answer in the executor's
+    representation. *)
+type 'v run = {
+  result : 'v;  (** the query answer *)
   location : Server.t;  (** server holding it (root master) *)
   network : Network.t;  (** everything that crossed a boundary *)
   node_rows : (int * int) list;
@@ -31,6 +39,8 @@ type outcome = {
           fault injection; one per compute/send otherwise) — what a
           [deadline] is charged against *)
 }
+
+type outcome = Relation.t run
 
 type error =
   | Structure of Planner.Safety.error
@@ -59,22 +69,18 @@ module Assignment = Planner.Assignment
 
 val pp_error : error Fmt.t
 
-(** [execute catalog ~instances plan assignment] runs the plan.
-    [instances] maps base-relation names to their stored instances.
-    [third_party] (default [false]) accepts proxy joins.
-
-    [executor] (default {!Relalg.Exec.Reference}) selects the physical
-    operators every node runs through — pass [(module
-    Relalg.Batch.Exec)] for the columnar batch executor. Results,
-    profiles and the message log are identical by contract (the
-    differential suite enforces it).
+(** [execute_with (module E) catalog ~instances plan assignment] runs
+    the plan on executor [E] — production passes {!Relalg.Batch}.
+    [instances] maps base-relation names to their stored instances,
+    already in [E]'s representation. [third_party] (default [false])
+    accepts proxy joins.
 
     [bloom] (default none: exact semi-joins) makes semi-join steps 1–2
     ship a [bits]-bits-per-key Bloom filter of the master's join column
     instead of the column itself ({!Relalg.Bloom}). False positives
     only inflate the step-4 ship-back — the step-5 join at the master
     discards them, so the result is exact — while the step-2 message is
-    priced at the filter's bits ({!Network.wire_bytes}). The message
+    priced at the filter's bits (the message's [bytes]). The message
     still records the projected column and its profile, so audit
     accounting is unchanged.
     @raise Invalid_argument if [bloom] is [< 1].
@@ -99,14 +105,32 @@ val pp_error : error Fmt.t
     [observe] (default none) is called with each completed node's id
     and value — the hook {!Recover} uses to salvage partial results
     from an execution that later dies. *)
-val execute :
+val execute_with :
+  (module Exec.S with type t = 'v) ->
   ?third_party:bool ->
-  ?executor:(module Exec.S) ->
   ?bloom:int ->
   ?fault:Fault.t ->
   ?network:Network.t ->
   ?deadline:int ->
-  ?observe:(int -> Relation.t -> unit) ->
+  ?observe:(int -> 'v -> unit) ->
+  Catalog.t ->
+  instances:(string -> 'v option) ->
+  Plan.t ->
+  Assignment.t ->
+  ('v run, error) result
+
+(** [store instances] is a lookup that encodes each instance into one
+    fresh shared {!Batch.Dict} on first use and keeps it — the
+    federation encodes its instances once through it. *)
+val store : (string -> Relation.t option) -> string -> Batch.t option
+
+(** One-shot {!execute_with} on {!Relalg.Batch} over decoded
+    instances: encodes them into a fresh {!store}, decodes the answer. *)
+val execute :
+  ?third_party:bool ->
+  ?bloom:int ->
+  ?fault:Fault.t ->
+  ?deadline:int ->
   Catalog.t ->
   instances:(string -> Relation.t option) ->
   Plan.t ->

@@ -25,7 +25,10 @@ type message = {
   seq : int;
   sender : Server.t;
   receiver : Server.t;
-  data : Relation.t;
+  header : Attribute.t list;
+  rows : int;
+  bytes : int;
+  decoded : Relation.t Lazy.t;
   payload : payload;
   profile : Profile.t;
   purpose : purpose;
@@ -34,10 +37,7 @@ type message = {
   delivery : delivery;
 }
 
-let wire_bytes m =
-  match m.payload with
-  | Rows -> Relation.byte_size m.data
-  | Filter { bits; _ } -> (bits + 7) / 8
+let data m = Lazy.force m.decoded
 
 let join_of = function
   | Full_operand { join }
@@ -47,22 +47,34 @@ let join_of = function
   | Proxy_operand { join; _ } ->
     join
 
-type t = { mutable log : message list (* reversed *) }
+type t = {
+  mutable log : message list; (* reversed *)
+  mutable count : int;
+}
 
-let create () = { log = [] }
+let create () = { log = []; count = 0 }
 
-let send t ?(attempt = 1) ?(delivery = Delivered) ?(payload = Rows) ~sender
-    ~receiver ~profile ~purpose ~note data =
-  let seq = List.length t.log in
+let push t m =
+  t.log <- { m with seq = t.count } :: t.log;
+  t.count <- t.count + 1
+
+let record t ?(attempt = 1) ?(delivery = Delivered) ?(payload = Rows) ~sender
+    ~receiver ~profile ~purpose ~note ~header ~rows ~bytes decoded =
+  let bytes =
+    match payload with Rows -> bytes | Filter { bits; _ } -> (bits + 7) / 8
+  in
   Log.debug (fun m ->
-      m "#%d %a -> %a: %d tuples (%s)" seq Server.pp sender Server.pp receiver
-        (Relation.cardinality data) note);
-  t.log <-
+      m "#%d %a -> %a: %d tuples (%s)" t.count Server.pp sender Server.pp
+        receiver rows note);
+  push t
     {
-      seq;
+      seq = t.count;
       sender;
       receiver;
-      data;
+      header;
+      rows;
+      bytes;
+      decoded;
       payload;
       profile;
       purpose;
@@ -70,8 +82,6 @@ let send t ?(attempt = 1) ?(delivery = Delivered) ?(payload = Rows) ~sender
       attempt;
       delivery;
     }
-    :: t.log;
-  data
 
 let delivered t =
   List.filter (fun m -> m.delivery = Delivered) (List.rev t.log)
@@ -88,23 +98,15 @@ let retransmissions t =
   List.fold_left (fun acc m -> if m.attempt > 1 then acc + 1 else acc) 0 t.log
 
 let messages t = List.rev t.log
-let message_count t = List.length t.log
+let message_count t = t.count
 
 let concat ts =
-  let merged = { log = [] } in
-  List.iter
-    (fun t ->
-      List.iter
-        (fun m ->
-          merged.log <- { m with seq = List.length merged.log } :: merged.log)
-        (List.rev t.log))
-    ts;
+  let merged = create () in
+  List.iter (fun t -> List.iter (push merged) (messages t)) ts;
   merged
 
-let total_tuples t =
-  List.fold_left (fun acc m -> acc + Relation.cardinality m.data) 0 t.log
-
-let total_bytes t = List.fold_left (fun acc m -> acc + wire_bytes m) 0 t.log
+let total_tuples t = List.fold_left (fun acc m -> acc + m.rows) 0 t.log
+let total_bytes t = List.fold_left (fun acc m -> acc + m.bytes) 0 t.log
 
 let traffic_matrix t =
   let tbl = Hashtbl.create 8 in
@@ -112,7 +114,7 @@ let traffic_matrix t =
     (fun m ->
       let key = (m.sender, m.receiver) in
       let prev = Option.value ~default:0 (Hashtbl.find_opt tbl key) in
-      Hashtbl.replace tbl key (prev + wire_bytes m))
+      Hashtbl.replace tbl key (prev + m.bytes))
     t.log;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun ((a1, b1), _) ((a2, b2), _) ->
@@ -139,7 +141,6 @@ let pp_message ppf m =
   in
   Fmt.pf ppf "#%d %a -> %a: %d tuples, %d bytes (%s)%a%a %a" m.seq Server.pp
     m.sender Server.pp m.receiver
-    (Relation.cardinality m.data)
-    (wire_bytes m) m.note pp_payload m pp_fate m Profile.pp m.profile
+    m.rows m.bytes m.note pp_payload m pp_fate m Profile.pp m.profile
 
 let pp ppf t = Fmt.(list ~sep:(any "@\n") pp_message) ppf (messages t)

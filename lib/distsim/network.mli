@@ -37,10 +37,11 @@ type delivery =
 
 (** Wire representation of the message. [Rows] ships the relation
     itself; [Filter] ships a Bloom filter summarising its join column
-    (semi-join step 2 under [--bloom]) — [data] still records the
-    projected column the filter was built from, because that is the
-    information the filter discloses (its profile, and what the audit
-    checks), but only [bits] actually cross the wire. *)
+    (semi-join step 2 under [--bloom]) — [header], [rows] and {!data}
+    still describe the projected column the filter was built from,
+    because that is the information the filter discloses (its profile,
+    and what the audit checks), but only [bits] actually cross the
+    wire. *)
 type payload =
   | Rows
   | Filter of { bits : int; hashes : int }
@@ -49,7 +50,13 @@ type message = {
   seq : int;  (** send order, from 0 *)
   sender : Server.t;
   receiver : Server.t;
-  data : Relation.t;
+  header : Attribute.t list;  (** attributes of the shipped relation *)
+  rows : int;  (** its cardinality *)
+  bytes : int;
+      (** bytes on the wire: {!Relation.byte_size} of the shipped rows
+          for [Rows], [bits/8] rounded up for [Filter] — what all byte
+          accounting ({!total_bytes}, {!Timing}) prices *)
+  decoded : Relation.t Lazy.t;  (** the shipped rows; see {!data} *)
   payload : payload;
   profile : Profile.t;
   purpose : purpose;
@@ -58,21 +65,21 @@ type message = {
   delivery : delivery;
 }
 
-(** Bytes the message occupies on the wire: {!Relation.byte_size} of
-    [data] for [Rows], [bits/8] rounded up for [Filter]. All byte
-    accounting ({!total_bytes}, {!traffic_matrix}, {!Timing}) prices
-    messages through this. *)
-val wire_bytes : message -> int
+(** The shipped relation, decoded on first demand (tests and the CLI;
+    nothing on the serving path reads it). *)
+val data : message -> Relation.t
 
 type t
 
 val create : unit -> t
 
-(** Record a transfer; returns the sent data unchanged so sends chain
-    naturally inside expressions. [attempt] defaults to [1], [delivery]
-    to [Delivered] and [payload] to [Rows] — fault-free row-shipping
-    code never mentions them. *)
-val send :
+(** [record t ~header ~rows ~bytes decoded] logs a transfer whose
+    figures the sender already knows — the engine prices its columnar
+    values from codes and decodes nothing. [bytes] are the rows'
+    {!Relation.byte_size}; a [Filter] payload is priced at its bits
+    instead. [attempt] defaults to [1], [delivery] to [Delivered] and
+    [payload] to [Rows]. *)
+val record :
   t ->
   ?attempt:int ->
   ?delivery:delivery ->
@@ -82,8 +89,11 @@ val send :
   profile:Profile.t ->
   purpose:purpose ->
   note:string ->
-  Relation.t ->
-  Relation.t
+  header:Attribute.t list ->
+  rows:int ->
+  bytes:int ->
+  Relation.t Lazy.t ->
+  unit
 
 (** Delivered messages belonging to one join node, in send order — the
     protocol structure, as {!Timing} and {!Des} pattern-match it. *)

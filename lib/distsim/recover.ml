@@ -27,10 +27,10 @@ type reason =
   | Deadline_exceeded of { spent : int; budget : int }
   | Execution_failed of string
 
-type recovered = {
-  result : Relation.t;
+type 'v recovered_run = {
+  result : 'v;
   location : Server.t;
-  outcome : Engine.outcome;
+  outcome : 'v Engine.run;
   log : Network.t;
   assignment : Planner.Assignment.t;
   certificate : Analysis.Certificate.plan_cert option;
@@ -44,21 +44,24 @@ type recovered = {
   schedule : Fault.event list;
 }
 
-type degraded = {
+type recovered = Relation.t recovered_run
+
+type 'v degraded_run = {
   reason : reason;
   log : Network.t;
   failovers : failover list;
-  partial : (int * Relation.t) list;
+  partial : (int * 'v) list;
   failed_node : int option;
   excluded : Server.t list;
   schedule : Fault.event list;
 }
 
+type degraded = Relation.t degraded_run
 type outcome = (recovered, degraded) result
 
-let execute ?(helpers = []) ?executor ?bloom ?max_failovers ?close_under
-    ?closed ?deadline ?(excluded = []) ?seed catalog policy ~instances ~fault
-    plan =
+let execute_with (type v) (module X : Exec.S with type t = v) ?(helpers = [])
+    ?bloom ?max_failovers ?close_under ?closed ?deadline ?(excluded = []) ?seed
+    catalog policy ~instances ~fault plan =
   let injector = Fault.start fault in
   (* One chase handle for the whole recovery: either the caller's
      long-lived handle (the federation shares its service handle, so
@@ -206,10 +209,11 @@ let execute ?(helpers = []) ?executor ?bloom ?max_failovers ?close_under
       Option.map (fun b -> max 0 (b - Fault.steps injector)) deadline
     in
     match
-      Engine.execute ~third_party ?executor ?bloom ~fault:injector ~network
-        ?deadline:remaining ~observe catalog ~instances plan assignment
+      Engine.execute_with (module X) ~third_party ?bloom ~fault:injector
+        ~network ?deadline:remaining ~observe catalog ~instances plan
+        assignment
     with
-    | Ok (o : Engine.outcome) ->
+    | Ok (o : v Engine.run) ->
       let log = merged () in
       Ok
         {
@@ -249,16 +253,29 @@ let execute ?(helpers = []) ?executor ?bloom ?max_failovers ?close_under
   in
   attempt 1 ~pending:None
 
+let decode f = function
+  | Ok (r : _ recovered_run) ->
+    let result = f r.result in
+    Ok { r with result; outcome = { r.outcome with result } }
+  | Error (d : _ degraded_run) ->
+    Error { d with partial = List.map (fun (id, v) -> (id, f v)) d.partial }
+
+let execute ?helpers ?bloom ?closed ?deadline ?excluded ?seed catalog policy
+    ~instances ~fault plan =
+  execute_with (module Batch) ?helpers ?bloom ?closed ?deadline ?excluded ?seed
+    catalog policy ~instances:(Engine.store instances) ~fault plan
+  |> decode Batch.to_relation
+
 let wire_time (model : Timing.model) network =
   List.fold_left
     (fun acc (m : Network.message) ->
       let l = model.Timing.link m.Network.sender m.Network.receiver in
       acc +. l.Timing.latency
-      +. (float_of_int (Network.wire_bytes m) /. l.Timing.bandwidth))
+      +. (float_of_int (m.Network.bytes) /. l.Timing.bandwidth))
     0.0
     (Network.messages network)
 
-let makespan model fplan plan (r : recovered) =
+let makespan model fplan plan (r : _ recovered_run) =
   let backoff = Fault.backoff fplan in
   let final =
     (Timing.makespan ~backoff model plan r.assignment r.outcome)

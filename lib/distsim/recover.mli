@@ -82,10 +82,12 @@ type reason =
   | Execution_failed of string
       (** non-fault engine error (structural, missing instance) *)
 
-type recovered = {
-  result : Relation.t;
+(** A recovered execution, its answer in the executor's
+    representation. *)
+type 'v recovered_run = {
+  result : 'v;
   location : Server.t;
-  outcome : Engine.outcome;
+  outcome : 'v Engine.run;
       (** the final (successful) attempt — its network holds only that
           attempt's messages, so {!Timing.makespan} and
           {!Des.tasks_of_execution} pattern-match it directly *)
@@ -106,11 +108,13 @@ type recovered = {
   schedule : Fault.event list;  (** the injector's deterministic record *)
 }
 
-type degraded = {
+type recovered = Relation.t recovered_run
+
+type 'v degraded_run = {
   reason : reason;
   log : Network.t;  (** cumulative emissions up to the point of death *)
   failovers : failover list;  (** failovers that did succeed before *)
-  partial : (int * Relation.t) list;
+  partial : (int * 'v) list;
       (** completed sub-results of the last attempt, by node id — an
           honest partial answer, never presented as the full one *)
   failed_node : int option;  (** the subtree that died, when known *)
@@ -118,10 +122,13 @@ type degraded = {
   schedule : Fault.event list;
 }
 
+type degraded = Relation.t degraded_run
 type outcome = (recovered, degraded) result
 
-(** [execute catalog policy ~instances ~fault plan] plans and runs
-    [plan] under [fault]. [helpers] are offered to the planner (initial
+(** [execute_with (module E) catalog policy ~instances ~fault plan]
+    plans and runs [plan] under [fault] on executor [E] (production
+    passes {!Relalg.Batch}; [instances] are in [E]'s representation).
+    [helpers] are offered to the planner (initial
     plan and every replan alike); [max_failovers] (default: the number
     of servers in the catalog) bounds how many servers may be excluded
     {e during this recovery} before giving up. [close_under] makes
@@ -150,14 +157,38 @@ type outcome = (recovered, degraded) result
     and re-proof, exactly as the clean path executes cached plans.
     Failovers still replan and re-prove from scratch.
 
-    [executor] and [bloom] are passed to every {!Engine.execute}
-    attempt unchanged (see there). *)
-val execute :
+    [bloom] is passed to every {!Engine.execute_with} attempt
+    unchanged (see there). *)
+val execute_with :
+  (module Exec.S with type t = 'v) ->
   ?helpers:Server.t list ->
-  ?executor:(module Relalg.Exec.S) ->
   ?bloom:int ->
   ?max_failovers:int ->
   ?close_under:Joinpath.Cond.t list ->
+  ?closed:Authz.Chase.closed ->
+  ?deadline:int ->
+  ?excluded:Server.t list ->
+  ?seed:
+    Planner.Assignment.t
+    * Analysis.Certificate.plan_cert option
+    * Planner.Third_party.rescue list ->
+  Catalog.t ->
+  Authz.Policy.t ->
+  instances:(string -> 'v option) ->
+  fault:Fault.plan ->
+  Plan.t ->
+  ('v recovered_run, 'v degraded_run) result
+
+(** [decode f o] decodes a run's answer with [f] — and, on a degraded
+    run, its partial sub-results (the only time they are decoded). *)
+val decode :
+  ('v -> Relation.t) -> ('v recovered_run, 'v degraded_run) result -> outcome
+
+(** One-shot {!execute_with} on {!Relalg.Batch} over decoded instances
+    (encoded into a fresh {!Engine.store}), decoded by {!decode}. *)
+val execute :
+  ?helpers:Server.t list ->
+  ?bloom:int ->
   ?closed:Authz.Chase.closed ->
   ?deadline:int ->
   ?excluded:Server.t list ->
@@ -178,7 +209,7 @@ val execute :
     spent even though it was thrown away). An upper bound — attempts
     are sequential. *)
 val makespan :
-  Timing.model -> Fault.plan -> Plan.t -> recovered -> float
+  Timing.model -> Fault.plan -> Plan.t -> _ recovered_run -> float
 
 val pp_failover : failover Fmt.t
 val pp_reason : reason Fmt.t

@@ -19,7 +19,7 @@ type schedule = {
 }
 
 let makespan ?(backoff = fun _ -> 0.0) model plan assignment
-    (outcome : Engine.outcome) =
+    (outcome : _ Engine.run) =
   let rows id =
     match List.assoc_opt id outcome.node_rows with
     | Some r -> float_of_int r
@@ -35,7 +35,7 @@ let makespan ?(backoff = fun _ -> 0.0) model plan assignment
     let link = model.link m.sender m.receiver in
     let one (a : Network.message) =
       link.latency
-      +. (float_of_int (Network.wire_bytes a) /. link.bandwidth)
+      +. (float_of_int a.Network.bytes /. link.bandwidth)
     in
     let chain =
       List.filter
@@ -90,13 +90,12 @@ let makespan ?(backoff = fun _ -> 0.0) model plan assignment
            let slave_join_done =
              Float.max t_slave at_slave
              +. (model.per_tuple
-                 *. (slave_rows
-                     +. float_of_int (Relation.cardinality fwd.data)))
+                 *. (slave_rows +. float_of_int fwd.rows))
            in
            let back_at_master = slave_join_done +. transfer back in
            Float.max back_at_master t_master
            +. (model.per_tuple
-               *. (master_rows +. float_of_int (Relation.cardinality back.data)))
+               *. (master_rows +. float_of_int back.rows))
          | [ ({ purpose = Network.Join_attributes _; _ } as k1);
              ({ purpose = Network.Join_attributes _; _ } as k2);
              ({ purpose = Network.Matched_keys _; _ } as matched);
@@ -118,22 +117,18 @@ let makespan ?(backoff = fun _ -> 0.0) model plan assignment
            let match_done =
              keys_at_t
              +. (model.per_tuple
-                 *. float_of_int
-                      (Relation.cardinality k1.data
-                      + Relation.cardinality k2.data))
+                 *. float_of_int (k1.rows + k2.rows))
            in
            let matched_at_other = match_done +. transfer matched in
            let reduce_done =
              Float.max t_other matched_at_other
              +. (model.per_tuple
-                 *. (other_rows
-                     +. float_of_int (Relation.cardinality matched.data)))
+                 *. (other_rows +. float_of_int matched.rows))
            in
            let reduced_at_master = reduce_done +. transfer reduced in
            Float.max t_master reduced_at_master
            +. (model.per_tuple
-               *. (master_rows
-                   +. float_of_int (Relation.cardinality reduced.data)))
+               *. (master_rows +. float_of_int reduced.rows))
          | msgs
            when List.for_all
                   (fun (m : Network.message) ->

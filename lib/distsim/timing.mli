@@ -64,7 +64,7 @@ val makespan :
   model ->
   Plan.t ->
   Planner.Assignment.t ->
-  Engine.outcome ->
+  _ Engine.run ->
   schedule
 
 val pp_schedule : schedule Fmt.t

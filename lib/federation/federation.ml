@@ -41,7 +41,8 @@ type t = {
   mutable chase : Authz.Chase.closed option;
   joins : Joinpath.Cond.t list;
   helpers : Server.t list;
-  instances : string -> Relation.t option;
+  instances : string -> Batch.t option;
+      (* every stored instance, encoded once at [create] *)
   cache_capacity : int;  (* 0 disables caching: plan-per-call mode *)
   plan_cache : (string, cached) Hashtbl.t;
   sql_memo : (string, string) Hashtbl.t;
@@ -94,6 +95,10 @@ let create ~catalog ~policy ?(helpers = []) ?close_under ?(cache_capacity = 256)
     | Some joins -> (None, joins, policy)
     | None -> (None, [], policy)
   in
+  let instances = Distsim.Engine.store instances in
+  List.iter
+    (fun s -> ignore (instances (Schema.name s)))
+    (Catalog.schemas catalog);
   {
     catalog;
     policy;
@@ -605,8 +610,9 @@ let query ?fault ?deadline ?tenant t sql =
          | None ->
            let third_party = cached.c_rescues <> [] in
            (match
-              Distsim.Engine.execute ~third_party ?deadline t.catalog
-                ~instances:t.instances cached.c_plan cached.c_assignment
+              Distsim.Engine.execute_with (module Batch) ~third_party
+                ?deadline t.catalog ~instances:t.instances cached.c_plan
+                cached.c_assignment
             with
             | Error (Distsim.Engine.Deadline_exceeded { spent; budget; _ }) ->
               t.deadline_exceeded_count <- t.deadline_exceeded_count + 1;
@@ -622,7 +628,7 @@ let query ?fault ?deadline ?tenant t sql =
                     assignment = cached.c_assignment;
                     certificate = cached.c_certificate;
                     rescues = cached.c_rescues;
-                    result;
+                    result = Batch.to_relation result;
                     location;
                     messages;
                     bytes;
@@ -639,12 +645,13 @@ let query ?fault ?deadline ?tenant t sql =
               hand over is the {e base} policy (with the shared chase
               handle), because certificates check against the base. *)
            (match
-              Distsim.Recover.execute ~helpers:t.helpers ?closed:t.chase
-                ?deadline ~excluded:t.quarantine
+              Distsim.Recover.execute_with (module Batch) ~helpers:t.helpers
+                ?closed:t.chase ?deadline ~excluded:t.quarantine
                 ~seed:(cached.c_assignment, cached.c_certificate,
                        cached.c_rescues)
                 t.catalog (base_policy t) ~instances:t.instances ~fault
                 cached.c_plan
+              |> Distsim.Recover.decode Batch.to_relation
             with
             | Ok (r : Distsim.Recover.recovered) ->
               feed_breakers t

@@ -44,6 +44,10 @@ type t
     disables caching entirely (plan-per-call — the differential
     baseline of the soak and bench harnesses).
 
+    [instances] is read once, here: every catalog relation's instance
+    is encoded into one federation-scoped {!Relalg.Batch.Dict} that
+    every query runs on (only answers are decoded).
+
     [breaker] (default [true]) enables per-server circuit breakers:
     failures observed in message logs and recoveries trip a breaker
     ({!Distsim.Health}), quarantined servers are excluded from

@@ -78,15 +78,14 @@ let validate e =
   in
   go e
 
-let eval ?(executor = (module Exec.Reference : Exec.S)) ~lookup e =
-  let module E = (val executor : Exec.S) in
+let eval ~lookup e =
   (match validate e with
    | Ok () -> ()
    | Error err -> invalid_arg (Fmt.str "Algebra.eval: %a" pp_error err));
   let rec go = function
     | Relation schema -> lookup schema
-    | Project (attrs, e) -> E.project attrs (go e)
-    | Select (pred, e) -> E.select pred (go e)
+    | Project (attrs, e) -> Relation.project attrs (go e)
+    | Select (pred, e) -> Relation.select pred (go e)
     | Join (cond, l, r) ->
       let lv = go l and rv = go r in
       let cond =
@@ -96,7 +95,7 @@ let eval ?(executor = (module Exec.Reference : Exec.S)) ~lookup e =
         | Some c -> c
         | None -> assert false (* validated above *)
       in
-      E.equi_join cond lv rv
+      Relation.equi_join cond lv rv
   in
   go e
 

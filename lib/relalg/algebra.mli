@@ -44,13 +44,10 @@ val oriented_cond :
 
 (** [eval ~lookup e] evaluates [e] bottom-up on the instances provided
     by [lookup] (one call per leaf). This is the centralized reference
-    semantics that the distributed engine is tested against.
-    [executor] selects the physical operators (default
-    {!Exec.Reference}; pass [(module Batch.Exec)] for the columnar
-    executor — results are identical by contract).
+    semantics that the distributed engine is tested against, run on
+    the sorted-set {!module:Relation} operators.
     @raise Invalid_argument on expressions that do not {!validate}. *)
-val eval :
-  ?executor:(module Exec.S) -> lookup:(Schema.t -> Relation.t) -> t -> Relation.t
+val eval : lookup:(Schema.t -> Relation.t) -> t -> Relation.t
 
 (** Number of [Join] nodes. *)
 val join_count : t -> int

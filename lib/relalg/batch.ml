@@ -13,12 +13,23 @@ end)
 module Dict = struct
   type t = {
     mutable values : Value.t array; (* code -> value *)
+    mutable widths : int array; (* code -> Value.byte_width *)
     mutable size : int;
     codes : int VH.t; (* value -> code *)
   }
 
   let create () =
-    { values = Array.make 64 Value.Null; size = 0; codes = VH.create 256 }
+    {
+      values = Array.make 64 Value.Null;
+      widths = Array.make 64 0;
+      size = 0;
+      codes = VH.create 256;
+    }
+
+  let grow a c fill =
+    let bigger = Array.make (2 * c) fill in
+    Array.blit a 0 bigger 0 c;
+    bigger
 
   let intern t v =
     match VH.find_opt t.codes v with
@@ -26,11 +37,13 @@ module Dict = struct
     | None ->
       let c = t.size in
       if c = Array.length t.values then begin
-        let bigger = Array.make (2 * c) Value.Null in
-        Array.blit t.values 0 bigger 0 c;
-        t.values <- bigger
+        t.values <- grow t.values c Value.Null;
+        t.widths <- grow t.widths c 0
       end;
+      (* Value.equal classes share a byte width (Int/Float are both 8),
+         so the first representative prices every member. *)
       t.values.(c) <- v;
+      t.widths.(c) <- Value.byte_width v;
       t.size <- c + 1;
       VH.add t.codes v c;
       c
@@ -50,7 +63,7 @@ type t = {
 
 (* Row keys are small code arrays; structural equality is exact on int
    arrays and the polymorphic hash samples enough positions for the
-   narrow keys used here (join conditions and dedup keys). *)
+   narrow keys used here (multi-attribute join conditions). *)
 module Rowtbl = Hashtbl.Make (struct
   type t = int array
 
@@ -117,18 +130,11 @@ let live_indices b =
   | Some bs -> indices_of_bitset bs
 
 let to_relation b =
-  let idx = live_indices b in
+  let idx = live_indices b and tuple = Tuple.columns b.header in
   let tuples = ref [] in
   for i = Array.length idx - 1 downto 0 do
     let ri = idx.(i) in
-    let tu =
-      List.fold_left
-        (fun (tu, ci) a ->
-          (Tuple.add a (Dict.value b.dict b.cols.(ci).(ri)) tu, ci + 1))
-        (Tuple.empty, 0) b.header
-      |> fst
-    in
-    tuples := tu :: !tuples
+    tuples := tuple (fun ci -> Dict.value b.dict b.cols.(ci).(ri)) :: !tuples
   done;
   Relation.make b.header !tuples
 
@@ -157,6 +163,29 @@ let gather_rows b idx =
   in
   { b with cols; nrows = n; sel = None }
 
+let compact b =
+  match b.sel with None -> b | Some bs -> gather_rows b (indices_of_bitset bs)
+
+(* Priced from codes: every interned value carries its byte width. *)
+let byte_size b =
+  let widths = b.dict.Dict.widths and total = ref 0 in
+  let row ri =
+    Array.iter (fun col -> total := !total + widths.(col.(ri))) b.cols
+  in
+  (match b.sel with
+   | None ->
+     for ri = 0 to b.nrows - 1 do
+       row ri
+     done
+   | Some bs -> Bitset.iter row bs);
+  !total
+
+(* Intersect [bs] (over the physical rows) into [b]'s selection
+   vector: no rows move. *)
+let narrow b bs =
+  let bs = match b.sel with None -> bs | Some s -> Bitset.inter bs s in
+  if Bitset.count bs = cardinality b then b else { b with sel = Some bs }
+
 (* ------------------------------------------------------------------ *)
 (* Projection.                                                         *)
 
@@ -179,70 +208,39 @@ let project attrs b =
   else begin
     let header = List.filter (fun a -> Attribute.Set.mem a attrs) b.header in
     let pos = Array.of_list keep_pos in
-    (* Dropping columns can merge rows: dedup on the projected codes.
-       The codes usually pack into one machine word (ncodes^k < 2^62),
-       making dedup an open-addressing int set with no per-row key
-       allocation; wider keys fall back to hashed code arrays. *)
+    (* Dropping columns can merge rows: dedup on the projected codes
+       with an open-addressing set of row indices, hashed from the
+       codes and compared column by column — no per-row allocation,
+       whatever the width. *)
+    let cols = Array.map (fun ci -> b.cols.(ci)) pos in
     let rows = live_indices b in
     let nlive = Array.length rows in
-    let kept = ref [] and nkept = ref 0 in
-    let keep ri =
-      kept := ri :: !kept;
-      incr nkept
+    let cap = ref 16 in
+    while !cap < 2 * nlive do
+      cap := !cap * 2
+    done;
+    let mask = !cap - 1 in
+    let slots = Array.make !cap (-1) in
+    let hash ri =
+      Array.fold_left (fun h col -> (h * 0x100000001b3) lxor col.(ri)) 0 cols
+      * 0x2545f4914f6cdd1d
     in
-    let ncodes = max 1 (Dict.size b.dict) in
-    let packable =
-      Array.fold_left
-        (fun acc _ ->
-          match acc with
-          | None -> None
-          | Some cap ->
-            if cap > max_int / ncodes then None else Some (cap * ncodes))
-        (Some 1) pos
-      <> None
-    in
-    (if packable then begin
-       let cap = ref 16 in
-       while !cap < 2 * nlive do
-         cap := !cap * 2
-       done;
-       let mask = !cap - 1 in
-       let slots = Array.make !cap (-1) in
-       for i = 0 to nlive - 1 do
-         let ri = rows.(i) in
-         let key = ref 0 in
-         Array.iter (fun ci -> key := (!key * ncodes) + b.cols.(ci).(ri)) pos;
-         let key = !key in
-         let s = ref (key * 0x2545f4914f6cdd1d land max_int land mask) in
-         while slots.(!s) <> key && slots.(!s) <> -1 do
-           s := (!s + 1) land mask
-         done;
-         if slots.(!s) = -1 then begin
-           slots.(!s) <- key;
-           keep ri
-         end
-       done
-     end
-     else begin
-       let seen = Rowtbl.create (max 16 nlive) in
-       for i = 0 to nlive - 1 do
-         let ri = rows.(i) in
-         let key = Array.map (fun ci -> b.cols.(ci).(ri)) pos in
-         if not (Rowtbl.mem seen key) then begin
-           Rowtbl.add seen key ();
-           keep ri
-         end
-       done
-     end);
-    let idx = Array.make !nkept 0 in
-    let i = ref (!nkept - 1) in
-    List.iter
+    let same ri rj = Array.for_all (fun col -> col.(ri) = col.(rj)) cols in
+    let idx = Array.make nlive 0 and nkept = ref 0 in
+    Array.iter
       (fun ri ->
-        idx.(!i) <- ri;
-        decr i)
-      !kept;
-    let narrow = { b with header; cols = Array.map (fun ci -> b.cols.(ci)) pos } in
-    gather_rows narrow idx
+        let s = ref (hash ri land max_int land mask) in
+        while slots.(!s) <> -1 && not (same slots.(!s) ri) do
+          s := (!s + 1) land mask
+        done;
+        if slots.(!s) = -1 then begin
+          slots.(!s) <- ri;
+          idx.(!nkept) <- ri;
+          incr nkept
+        end)
+      rows;
+    let idx = Array.sub idx 0 !nkept in
+    gather_rows { b with header; cols } idx
   end
 
 (* ------------------------------------------------------------------ *)
@@ -330,9 +328,7 @@ let select pred b =
   let header_set = attribute_set b in
   if not (Attribute.Set.subset (Predicate.attributes pred) header_set) then
     invalid_arg "Batch.select: predicate mentions unknown attributes";
-  let bs = eval_pred b ~negated:false pred in
-  let bs = match b.sel with None -> bs | Some s -> Bitset.inter bs s in
-  if Bitset.count bs = cardinality b then b else { b with sel = Some bs }
+  narrow b (eval_pred b ~negated:false pred)
 
 (* ------------------------------------------------------------------ *)
 (* Joins.                                                              *)
@@ -382,6 +378,10 @@ let push g v =
   g.n <- g.n + 1
 
 let default_partitions () = max 1 (min 8 (Domain.recommended_domain_count () - 1))
+
+(* Below this many physical rows (probe plus build side) a join runs on
+   the calling domain: spawning costs more than the join itself. *)
+let small_join_rows = 16_384
 
 (* Probe chunks run on their own domains; every joinable pair meets in
    exactly one chunk (the build side is complete in every chunk), so
@@ -477,80 +477,75 @@ let join_codes_sparse ~nparts ~lsel ~rsel lcol rcol lrows rrows =
       done;
       (lg, rg))
 
-let join_codes ~nparts ~lsel ~rsel lcol rcol lrows rrows ncodes =
-  if ncodes <= (8 * rrows) + 1024 then
-    join_codes_dense ~nparts ~lsel ~rsel lcol rcol lrows rrows ncodes
-  else join_codes_sparse ~nparts ~lsel ~rsel lcol rcol lrows rrows
-
-(* Hash-partitioned parallel equi-join: rows are routed to a partition
-   by the hash of their join-key codes, so every pair of joinable rows
-   meets in exactly one partition (the one-round parallel-correctness
-   condition); each partition builds over its right rows and probes
-   its left rows on its own domain. Single-attribute conditions (the
-   common case) take the dense-code path instead. *)
-let equi_join ?partitions cond l r =
-  let jl = Joinpath.Cond.left cond and jr = Joinpath.Cond.right cond in
-  check_side "equi_join" "left" jl l;
-  check_side "equi_join" "right" jr r;
-  if not (Attribute.Set.disjoint (attribute_set l) (attribute_set r)) then
-    invalid_arg "Batch.equi_join: operands share attributes";
-  let r = translate l.dict r in
-  let lpos = positions l jl and rpos = positions r jr in
+(* Matching row pairs of [l] (on its [lpos] columns) and [r] (on
+   [rpos]), as per-partition (left rows, right rows) vectors.
+   Single-attribute keys take the code paths above; multi-attribute
+   keys are hash-partitioned: rows are routed to a partition by the
+   hash of their key codes, so every pair of joinable rows meets in
+   exactly one partition (the one-round parallel-correctness
+   condition), and each partition builds over its right rows and
+   probes its left rows on its own domain. *)
+let matches ?partitions l lpos r rpos =
   let nparts =
     match partitions with
     | Some p when p >= 1 -> p
     | Some _ -> invalid_arg "Batch.equi_join: partitions must be >= 1"
-    | None -> default_partitions ()
+    | None ->
+      if l.nrows + r.nrows < small_join_rows then 1 else default_partitions ()
   in
   let lsel = live l and rsel = live r in
-  let results =
-    if Array.length lpos = 1 then
-      join_codes ~nparts ~lsel ~rsel
-        l.cols.(lpos.(0))
-        r.cols.(rpos.(0))
-        l.nrows r.nrows (Dict.size l.dict)
-    else begin
-      let part_of cols pos ri =
-        let h = ref 0x811c9dc5 in
-        Array.iter (fun ci -> h := (!h * 0x01000193) lxor cols.(ci).(ri)) pos;
-        !h land max_int mod nparts
-      in
-      let lparts = Array.make nparts [] and rparts = Array.make nparts [] in
-      for ri = l.nrows - 1 downto 0 do
-        if Bitset.get lsel ri then begin
-          let p = part_of l.cols lpos ri in
-          lparts.(p) <- ri :: lparts.(p)
-        end
-      done;
-      for ri = r.nrows - 1 downto 0 do
-        if Bitset.get rsel ri then begin
-          let p = part_of r.cols rpos ri in
-          rparts.(p) <- ri :: rparts.(p)
-        end
-      done;
-      let work lrows rrows =
-        let tbl = Rowtbl.create (max 16 (List.length rrows)) in
-        List.iter (fun ri -> Rowtbl.add tbl (key_at r.cols rpos ri) ri) rrows;
-        let lg = grower () and rg = grower () in
-        List.iter
-          (fun li ->
-            List.iter
-              (fun rj ->
-                push lg li;
-                push rg rj)
-              (Rowtbl.find_all tbl (key_at l.cols lpos li)))
-          lrows;
-        (lg, rg)
-      in
-      if nparts = 1 then [| work lparts.(0) rparts.(0) |]
-      else
-        Array.map Domain.join
-          (Array.init nparts (fun p ->
-               Domain.spawn (fun () -> work lparts.(p) rparts.(p))))
-    end
-  in
+  if Array.length lpos = 1 then begin
+    let lcol = l.cols.(lpos.(0)) and rcol = r.cols.(rpos.(0)) in
+    let ncodes = Dict.size l.dict in
+    if ncodes <= (8 * r.nrows) + 1024 then
+      join_codes_dense ~nparts ~lsel ~rsel lcol rcol l.nrows r.nrows ncodes
+    else join_codes_sparse ~nparts ~lsel ~rsel lcol rcol l.nrows r.nrows
+  end
+  else begin
+    let part_of cols pos ri =
+      let h = ref 0x811c9dc5 in
+      Array.iter (fun ci -> h := (!h * 0x01000193) lxor cols.(ci).(ri)) pos;
+      !h land max_int mod nparts
+    in
+    let lparts = Array.make nparts [] and rparts = Array.make nparts [] in
+    for ri = l.nrows - 1 downto 0 do
+      if Bitset.get lsel ri then begin
+        let p = part_of l.cols lpos ri in
+        lparts.(p) <- ri :: lparts.(p)
+      end
+    done;
+    for ri = r.nrows - 1 downto 0 do
+      if Bitset.get rsel ri then begin
+        let p = part_of r.cols rpos ri in
+        rparts.(p) <- ri :: rparts.(p)
+      end
+    done;
+    let work lrows rrows =
+      let tbl = Rowtbl.create (max 16 (List.length rrows)) in
+      List.iter (fun ri -> Rowtbl.add tbl (key_at r.cols rpos ri) ri) rrows;
+      let lg = grower () and rg = grower () in
+      List.iter
+        (fun li ->
+          List.iter
+            (fun rj ->
+              push lg li;
+              push rg rj)
+            (Rowtbl.find_all tbl (key_at l.cols lpos li)))
+        lrows;
+      (lg, rg)
+    in
+    if nparts = 1 then [| work lparts.(0) rparts.(0) |]
+    else
+      Array.map Domain.join
+        (Array.init nparts (fun p ->
+             Domain.spawn (fun () -> work lparts.(p) rparts.(p))))
+  end
+
+(* The result rows of [matches]: every column of [l], then the columns
+   [rkeep] of [r]. *)
+let assemble l r rkeep results =
   let total = Array.fold_left (fun acc (lg, _) -> acc + lg.n) 0 results in
-  let ncols_l = Array.length l.cols and ncols_r = Array.length r.cols in
+  let ncols_l = Array.length l.cols and ncols_r = Array.length rkeep in
   let cols = Array.init (ncols_l + ncols_r) (fun _ -> Array.make total 0) in
   let off = ref 0 in
   Array.iter
@@ -561,14 +556,27 @@ let equi_join ?partitions cond l r =
           cols.(ci).(!off + i) <- l.cols.(ci).(li)
         done;
         for ci = 0 to ncols_r - 1 do
-          cols.(ncols_l + ci).(!off + i) <- r.cols.(ci).(rj)
+          cols.(ncols_l + ci).(!off + i) <- r.cols.(rkeep.(ci)).(rj)
         done
       done;
       off := !off + lg.n)
     results;
+  let rheader = Array.of_list r.header in
+  let header = l.header @ List.map (Array.get rheader) (Array.to_list rkeep) in
+  { dict = l.dict; header; cols; nrows = total; sel = None }
+
+let equi_join ?partitions cond l r =
+  let jl = Joinpath.Cond.left cond and jr = Joinpath.Cond.right cond in
+  check_side "equi_join" "left" jl l;
+  check_side "equi_join" "right" jr r;
+  if not (Attribute.Set.disjoint (attribute_set l) (attribute_set r)) then
+    invalid_arg "Batch.equi_join: operands share attributes";
+  let r = translate l.dict r in
   (* Distinct left rows x distinct right rows: concatenated rows are
      distinct, no dedup pass needed. *)
-  { dict = l.dict; header = l.header @ r.header; cols; nrows = total; sel = None }
+  assemble l r
+    (Array.init (Array.length r.cols) Fun.id)
+    (matches ?partitions l (positions l jl) r (positions r jr))
 
 let semi_join cond l r =
   let jl = Joinpath.Cond.left cond and jr = Joinpath.Cond.right cond in
@@ -599,10 +607,8 @@ let semi_join cond l r =
        if Rowtbl.mem keys (key_at l.cols lpos ri) then Bitset.set bs ri
      done
    end);
-  (* Matches over the physical left rows, narrowed to the live ones:
-     another selection vector, no rows move. *)
-  let bs = match l.sel with None -> bs | Some s -> Bitset.inter bs s in
-  if Bitset.count bs = cardinality l then l else { l with sel = Some bs }
+  (* Matches over the physical left rows, narrowed to the live ones. *)
+  narrow l bs
 
 let natural_join l r =
   let shared =
@@ -612,57 +618,34 @@ let natural_join l r =
   if shared = [] then
     invalid_arg "Batch.natural_join: headers share no attribute";
   let r = translate l.dict r in
-  let lpos = positions l shared and rpos = positions r shared in
-  let r_only_pos =
+  let is_shared a = List.exists (Attribute.equal a) shared in
+  let r_only =
     List.concat
-      (List.mapi
-         (fun i a ->
-           if List.exists (Attribute.equal a) shared then [] else [ i ])
-         r.header)
-    |> Array.of_list
+      (List.mapi (fun i a -> if is_shared a then [] else [ i ]) r.header)
   in
-  let r_only_header =
-    List.filter
-      (fun a -> not (List.exists (Attribute.equal a) shared))
-      r.header
-  in
-  let lsel = live l and rsel = live r in
-  let tbl = Rowtbl.create (max 16 r.nrows) in
-  for ri = 0 to r.nrows - 1 do
-    if Bitset.get rsel ri then Rowtbl.add tbl (key_at r.cols rpos ri) ri
-  done;
-  let lg = grower () and rg = grower () in
-  for li = 0 to l.nrows - 1 do
-    if Bitset.get lsel li then
-      List.iter
-        (fun rj ->
-          push lg li;
-          push rg rj)
-        (Rowtbl.find_all tbl (key_at l.cols lpos li))
-  done;
   (* Matching rows agree on the shared columns, so two result rows
      coincide only if both source rows do: distinctness is
      preserved. *)
-  let total = lg.n in
-  let ncols_l = Array.length l.cols in
-  let ncols_ro = Array.length r_only_pos in
-  let cols = Array.init (ncols_l + ncols_ro) (fun _ -> Array.make total 0) in
-  for i = 0 to total - 1 do
-    let li = lg.buf.(i) and rj = rg.buf.(i) in
-    for ci = 0 to ncols_l - 1 do
-      cols.(ci).(i) <- l.cols.(ci).(li)
-    done;
-    for ci = 0 to ncols_ro - 1 do
-      cols.(ncols_l + ci).(i) <- r.cols.(r_only_pos.(ci)).(rj)
-    done
-  done;
-  {
-    dict = l.dict;
-    header = l.header @ r_only_header;
-    cols;
-    nrows = total;
-    sel = None;
-  }
+  assemble l r (Array.of_list r_only)
+    (matches l (positions l shared) r (positions r shared))
+
+(* Bloom filters hash values (Value.hash), not codes, so a filter built
+   here probes exactly like one built from the decoded rows. *)
+let key_values b pos ri =
+  Array.to_list (Array.map (fun ci -> Dict.value b.dict b.cols.(ci).(ri)) pos)
+
+let bloom ~bits_per_key attrs b =
+  let pos = positions b attrs in
+  Bloom.of_keys ~bits_per_key
+    (Array.to_list (Array.map (key_values b pos) (live_indices b)))
+
+let bloom_reduce filter attrs b =
+  let pos = positions b attrs in
+  let bs = Bitset.create b.nrows in
+  Array.iter
+    (fun ri -> if Bloom.mem filter (key_values b pos ri) then Bitset.set bs ri)
+    (live_indices b);
+  narrow b bs
 
 (* ------------------------------------------------------------------ *)
 (* Batch-native evaluation.                                            *)
@@ -689,21 +672,3 @@ let eval ~lookup e =
       equi_join cond lb rb
   in
   to_relation (go e)
-
-module Exec : Exec.S = struct
-  let name = "batch"
-
-  let unary op rel =
-    let dict = Dict.create () in
-    to_relation (op (of_relation dict rel))
-
-  let binary op a b =
-    let dict = Dict.create () in
-    to_relation (op (of_relation dict a) (of_relation dict b))
-
-  let project attrs = unary (project attrs)
-  let select pred = unary (select pred)
-  let equi_join cond = binary (equi_join ?partitions:None cond)
-  let semi_join cond = binary (semi_join cond)
-  let natural_join a b = binary natural_join a b
-end

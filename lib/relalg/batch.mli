@@ -1,20 +1,23 @@
 (** Columnar batch executor — dictionary-encoded columns, bitset
-    selection vectors, partition-parallel hash joins.
+    selection vectors, partition-parallel hash joins. The one relation
+    representation of the distributed engine: instances are encoded
+    once (per federation, or per one-shot run), every plan node and
+    Figure-5 step stays columnar, and only answers are decoded.
 
-    The reference executor ({!module:Relation}, kept verbatim as
-    {!Exec.Reference}) stores tuples as balanced-tree sets of
-    attribute maps: every operator pays a logarithmic comparison of
-    boxed values per tuple touched. This executor stores a relation as
-    one int array per column, with values interned in a {!Dict}
-    shared across the operands of a run: equality of values is
-    equality of ints, selections evaluate once per {e distinct} code
-    and combine as bitsets, and hash joins partition rows by key hash
-    and build/probe each partition on its own domain (OCaml 5
-    parallelism). Selection is lazy — [select] and [semi_join] only
-    narrow a batch's selection vector, no row moves — and every
-    consumer skips the dead rows. Results are identical to the
-    reference — the invariant the differential suite and the in-bench
-    equality assertions enforce.
+    The sorted-set operators of {!module:Relation} store tuples as
+    balanced-tree sets of attribute maps: every operator pays a
+    logarithmic comparison of boxed values per tuple touched. This
+    executor stores a relation as one int array per column, with values
+    interned in a {!Dict} shared across the operands of a run: equality
+    of values is equality of ints, selections evaluate once per
+    {e distinct} code and combine as bitsets, and hash joins partition
+    rows by key hash and build/probe each partition on its own domain
+    (OCaml 5 parallelism). Selection is lazy — [select], [semi_join]
+    and [bloom_reduce] only narrow a batch's selection vector, no row
+    moves — and every consumer skips the dead rows. Results are
+    identical to the {!module:Relation} operators — the invariant the
+    differential suites (the relation-backed engine oracle included)
+    enforce.
 
     Set semantics are maintained as a representation invariant: the
     rows of a batch are distinct. Join keys compare like
@@ -24,7 +27,8 @@
     {!Predicate.eval}). *)
 
 (** Shared value dictionary: interns values to dense int codes, one
-    code per {!Value.equal} class. *)
+    code per {!Value.equal} class, recording each code's
+    {!Value.byte_width} so batches are priced without decoding. *)
 module Dict : sig
   type t
 
@@ -43,38 +47,21 @@ type t
     dictionary (operators translate codes otherwise). *)
 val of_relation : Dict.t -> Relation.t -> t
 
-val to_relation : t -> Relation.t
-val header : t -> Attribute.t list
-val cardinality : t -> int
-
-(** The five physical operators, each with the contract (including
-    [Invalid_argument] conditions) of its {!module:Relation}
-    namesake. [equi_join]'s [partitions] fixes the number of hash
-    partitions (and domains); the default is derived from
-    [Domain.recommended_domain_count]. Results are
-    partition-invariant — a property test enforces the one-round
-    parallel-correctness condition: every pair of joinable rows meets
-    in exactly one partition. *)
-
-val project : Attribute.Set.t -> t -> t
-
-val select : Predicate.t -> t -> t
-
-val equi_join : ?partitions:int -> Joinpath.Cond.t -> t -> t -> t
-
-val semi_join : Joinpath.Cond.t -> t -> t -> t
-
-val natural_join : t -> t -> t
+(** The executor signature. Byte sizes are summed from the
+    dictionary's per-code widths; Bloom filters hash values, so they
+    match filters built from the decoded rows bit for bit.
+    [equi_join]'s [partitions] defaults to one below a fixed size
+    (probe plus build side under 16384 rows, where spawning costs more
+    than the join) and to [Domain.recommended_domain_count] above it.
+    Results are partition-invariant — a property test enforces the
+    one-round parallel-correctness condition: every pair of joinable
+    rows meets in exactly one partition. *)
+include Exec.S with type t := t
 
 (** [eval ~lookup e] evaluates [e] batch-natively: leaves are encoded
     once into a shared dictionary, every operator stays columnar, and
     only the root is decoded back to a {!Relation.t}. Same semantics
-    as {!Algebra.eval} on the reference executor.
+    as {!Algebra.eval}.
     @raise Invalid_argument on expressions that do not
     {!Algebra.validate}. *)
 val eval : lookup:(Schema.t -> Relation.t) -> Algebra.t -> Relation.t
-
-(** The batch operators behind the executor signature: each call
-    encodes its operands, runs columnar and decodes the result, so the
-    distributed engine can run node-by-node on batches. *)
-module Exec : Exec.S

@@ -1,5 +1,5 @@
 (* Packed in native ints: 63 usable bits per word on 64-bit
-   platforms. The top word is kept masked so [count]/[compl] never see
+   platforms. The top word is kept masked so [count] never sees
    phantom bits beyond [length]. *)
 
 let word_bits = Sys.int_size
@@ -55,12 +55,6 @@ let inter a b =
 let union a b =
   check_same "union" a b;
   { a with words = Array.mapi (fun i w -> w lor b.words.(i)) a.words }
-
-let compl a =
-  let words = Array.map lnot a.words in
-  let n = Array.length words in
-  if n > 0 then words.(n - 1) <- words.(n - 1) land tail_mask a.len;
-  { a with words }
 
 let iter f t =
   for wi = 0 to Array.length t.words - 1 do

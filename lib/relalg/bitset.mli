@@ -31,8 +31,5 @@ val inter : t -> t -> t
 
 val union : t -> t -> t
 
-(** Complement within the universe. *)
-val compl : t -> t
-
 (** [iter f t] calls [f] on each set index, ascending. *)
 val iter : (int -> unit) -> t -> unit

@@ -33,7 +33,7 @@ val of_keys : bits_per_key:int -> Value.t list list -> t
 val mem : t -> Value.t list -> bool
 
 (** Size of the bit array — what the wire carries
-    ({!Network.wire_bytes} prices a filter message at [bits/8] rounded
+    (the engine prices a filter message at [bits/8] rounded
     up). *)
 val bits : t -> int
 

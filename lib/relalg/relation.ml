@@ -5,8 +5,9 @@ type t = {
   tuples : Tuple_set.t;
 }
 
-let check_tuple header_set tuple =
-  if not (Attribute.Set.equal (Tuple.attributes tuple) header_set) then
+let check_tuple header_set sorted tuple =
+  let keys = List.map fst (Tuple.bindings tuple) in
+  if not (List.equal Attribute.equal keys sorted) then
     invalid_arg
       (Fmt.str "Relation.make: tuple %a does not match header %a" Tuple.pp
          tuple Attribute.Set.pp header_set)
@@ -16,7 +17,7 @@ let make header tuples =
   let header_set = Attribute.Set.of_list header in
   if Attribute.Set.cardinal header_set <> List.length header then
     invalid_arg "Relation.make: duplicate attribute in header";
-  List.iter (check_tuple header_set) tuples;
+  List.iter (check_tuple header_set (Attribute.Set.elements header_set)) tuples;
   { header; tuples = Tuple_set.of_list tuples }
 
 let of_rows schema rows =

@@ -5,6 +5,14 @@ let empty = Attribute.Map.empty
 let of_list bindings =
   List.fold_left (fun m (a, v) -> Attribute.Map.add a v m) empty bindings
 
+let columns attrs =
+  let shape, _ =
+    List.fold_left
+      (fun (m, i) a -> (Attribute.Map.add a i m, i + 1))
+      (Attribute.Map.empty, 0) attrs
+  in
+  fun f -> Attribute.Map.map f shape
+
 let bindings = Attribute.Map.bindings
 let add = Attribute.Map.add
 let find t a = Attribute.Map.find a t

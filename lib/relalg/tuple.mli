@@ -7,6 +7,11 @@ val empty : t
 (** [of_list bindings]; later bindings win. *)
 val of_list : (Attribute.t * Value.t) list -> t
 
+(** [columns attrs f] binds the [i]-th attribute of [attrs] to [f i].
+    Partially applied to [attrs], it builds every tuple from one shared
+    shape: no attribute comparisons per tuple. *)
+val columns : Attribute.t list -> (int -> Value.t) -> t
+
 val bindings : t -> (Attribute.t * Value.t) list
 val add : Attribute.t -> Value.t -> t -> t
 

@@ -56,3 +56,13 @@ let contains ~sub s =
   let n = String.length sub and m = String.length s in
   let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
   n = 0 || at 0
+
+(* Log a decoded relation to a network, priced from the relation;
+   returns it so sends chain inside expressions. *)
+let send net ?attempt ?delivery ?payload ~sender ~receiver ~profile ~purpose
+    ~note data =
+  Distsim.Network.record net ?attempt ?delivery ?payload ~sender ~receiver
+    ~profile ~purpose ~note ~header:(Relation.header data)
+    ~rows:(Relation.cardinality data) ~bytes:(Relation.byte_size data)
+    (Lazy.from_val data);
+  data

@@ -35,7 +35,7 @@ let test_unauthorized_flow_flagged () =
   let n = Network.create () in
   let data = Option.get (M.instances "Hospital") in
   let (_ : Relation.t) =
-    Network.send n ~sender:M.s_h ~receiver:M.s_i
+    Helpers.send n ~sender:M.s_h ~receiver:M.s_i
       ~profile:(Authz.Profile.of_base M.hospital)
       ~purpose:(Network.Full_operand { join = 0 })
       ~note:"leak" data
@@ -55,7 +55,7 @@ let test_header_mismatch_flagged () =
       ~join:Joinpath.empty ~sigma:Attribute.Set.empty
   in
   let (_ : Relation.t) =
-    Network.send n ~sender:M.s_i ~receiver:M.s_n ~profile:lying_profile
+    Helpers.send n ~sender:M.s_i ~receiver:M.s_n ~profile:lying_profile
       ~purpose:(Network.Full_operand { join = 0 })
       ~note:"underdeclared" data
   in
@@ -76,14 +76,14 @@ let test_mixed_report_collects_all_violations () =
   let hospital = Option.get (M.instances "Hospital") in
   let send_ok () =
     ignore
-      (Network.send n ~sender:M.s_i ~receiver:M.s_n
+      (Helpers.send n ~sender:M.s_i ~receiver:M.s_n
          ~profile:(Authz.Profile.of_base M.insurance)
          ~purpose:(Network.Full_operand { join = 0 })
          ~note:"fine" insurance)
   in
   let send_bad () =
     ignore
-      (Network.send n ~sender:M.s_h ~receiver:M.s_i
+      (Helpers.send n ~sender:M.s_h ~receiver:M.s_i
          ~profile:(Authz.Profile.of_base M.hospital)
          ~purpose:(Network.Full_operand { join = 0 })
          ~note:"leak" hospital)
@@ -104,7 +104,7 @@ let test_retransmission_chain_same_rule () =
   let profile = Authz.Profile.of_base M.insurance in
   let send attempt delivery =
     ignore
-      (Network.send n ~attempt ~delivery ~sender:M.s_i ~receiver:M.s_n
+      (Helpers.send n ~attempt ~delivery ~sender:M.s_i ~receiver:M.s_n
          ~profile
          ~purpose:(Network.Full_operand { join = 0 })
          ~note:"retry chain" data)
@@ -137,7 +137,7 @@ let test_dropped_leak_still_flagged () =
   let n = Network.create () in
   let data = Option.get (M.instances "Hospital") in
   let (_ : Relation.t) =
-    Network.send n ~delivery:Network.Dropped ~sender:M.s_h ~receiver:M.s_i
+    Helpers.send n ~delivery:Network.Dropped ~sender:M.s_h ~receiver:M.s_i
       ~profile:(Authz.Profile.of_base M.hospital)
       ~purpose:(Network.Full_operand { join = 0 })
       ~note:"dropped leak" data
@@ -160,7 +160,7 @@ let test_corrupted_retransmission_header_mismatch () =
       ~join:Joinpath.empty ~sigma:Attribute.Set.empty
   in
   let (_ : Relation.t) =
-    Network.send n ~attempt:2 ~delivery:Network.Corrupted ~sender:M.s_i
+    Helpers.send n ~attempt:2 ~delivery:Network.Corrupted ~sender:M.s_i
       ~receiver:M.s_n ~profile:lying
       ~purpose:(Network.Full_operand { join = 0 })
       ~note:"corrupted retry" data
@@ -183,7 +183,10 @@ let test_reason_rendering () =
           Network.seq = 0;
           sender = M.s_i;
           receiver = M.s_n;
-          data;
+          header = Relation.header data;
+          rows = Relation.cardinality data;
+          bytes = Relation.byte_size data;
+          decoded = Lazy.from_val data;
           payload = Network.Rows;
           profile = Authz.Profile.of_base M.insurance;
           purpose = Network.Full_operand { join = 0 };

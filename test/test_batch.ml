@@ -1,5 +1,5 @@
-(* The columnar batch executor against its reference twin: unit ops on
-   fixtures that exercise NULLs, the Int/Float bridge and >2^53
+(* The columnar batch executor against the relation-backed oracle: unit
+   ops on fixtures that exercise NULLs, the Int/Float bridge and >2^53
    integers, Bloom one-sidedness, partition invariance of the parallel
    hash join, and a many-seed whole-expression differential. *)
 
@@ -68,14 +68,23 @@ let test_dict_interning () =
   check Alcotest.bool "codes decode back" true
     (Value.equal (Batch.Dict.value d c1) (Int 3))
 
-(* Every physical operator equals its Relation namesake on the
-   fixtures — including the NULL-matching join semantics (conditions
-   are attribute pairs, so NULL keys do meet). *)
+(* Every physical operator equals its oracle namesake on the fixtures —
+   including the NULL-matching join semantics (conditions are attribute
+   pairs, so NULL keys do meet) — and so do the wire figures the engine
+   logs: byte size from codes, compaction, Bloom reduction. *)
 let test_ops_match_reference () =
-  let module E = Batch.Exec in
+  let module R = Oracle.Reference in
+  let dict = Batch.Dict.create () in
+  let br_b = Batch.of_relation dict br and bs_b = Batch.of_relation dict bs in
+  let check_op name expected got =
+    check Helpers.relation name expected (Batch.to_relation got);
+    check Alcotest.int (name ^ " bytes") (R.byte_size expected)
+      (Batch.byte_size got);
+    check Helpers.relation (name ^ " compacted") expected
+      (Batch.to_relation (Batch.compact got))
+  in
   let attrs = Attribute.Set.of_list [ k; a ] in
-  check Helpers.relation "project" (Relation.project attrs br)
-    (E.project attrs br);
+  check_op "project" (R.project attrs br) (Batch.project attrs br_b);
   let preds =
     [
       Predicate.Cmp (a, Predicate.Eq, Const (Int 3));
@@ -91,19 +100,25 @@ let test_ops_match_reference () =
   in
   List.iter
     (fun p ->
-      check Helpers.relation
+      check_op
         (Fmt.str "select %a" Predicate.pp p)
-        (Relation.select p br) (E.select p br))
+        (R.select p br) (Batch.select p br_b))
     preds;
-  check Helpers.relation "equi_join" (Relation.equi_join cond br bs)
-    (E.equi_join cond br bs);
-  check Helpers.relation "semi_join" (Relation.semi_join cond br bs)
-    (E.semi_join cond br bs);
-  let shared = Relation.equi_join cond br bs in
+  check_op "equi_join" (R.equi_join cond br bs)
+    (Batch.equi_join cond br_b bs_b);
+  check_op "semi_join" (R.semi_join cond br bs)
+    (Batch.semi_join cond br_b bs_b);
+  let shared = R.equi_join cond br bs in
   (* natural join on the overlap of a previous result and an operand *)
-  check Helpers.relation "natural_join"
-    (Relation.natural_join shared br)
-    (E.natural_join shared br)
+  check_op "natural_join"
+    (R.natural_join shared br)
+    (Batch.natural_join (Batch.of_relation dict shared) br_b);
+  let filter = R.bloom ~bits_per_key:4 [ l ] bs in
+  check Alcotest.int "bloom filter bits" (Bloom.bits filter)
+    (Bloom.bits (Batch.bloom ~bits_per_key:4 [ l ] bs_b));
+  check_op "bloom_reduce"
+    (R.bloom_reduce filter [ a ] br)
+    (Batch.bloom_reduce filter [ a ] br_b)
 
 let test_empty_projection_refused () =
   match Batch.project Attribute.Set.empty (batch_of br) with
@@ -181,8 +196,8 @@ let prop_partition_invariance =
       List.for_all (fun p -> Relation.equal sequential (joined p)) [ 2; 3; 7 ])
 
 (* The ≥200-seed batch ≡ naive differential over whole expressions:
-   both executors behind [Algebra.eval], plus the batch-native
-   evaluator, on plans mixing selection, projection and the join. *)
+   the reference [Algebra.eval] against the batch-native evaluator, on
+   plans mixing selection, projection and the join. *)
 let prop_differential =
   QCheck.Test.make ~name:"batch ≡ naive on random expressions" ~count:250
     QCheck.(
@@ -201,15 +216,13 @@ let prop_differential =
       let lookup schema =
         if Schema.name schema = "BR" then r else s
       in
-      let reference = Algebra.eval ~lookup expr in
-      Relation.equal reference
-        (Algebra.eval ~executor:(module Batch.Exec) ~lookup expr)
-      && Relation.equal reference (Batch.eval ~lookup expr))
+      Relation.equal (Algebra.eval ~lookup expr) (Batch.eval ~lookup expr))
 
-(* The engine under the batch executor and under Bloom reduction:
-   identical answers, identical audit verdicts, and the Bloom run ships
-   strictly fewer bytes than the exact semi-join on the medical
-   scenario (the wire saving the reducer exists for). *)
+(* The production engine against the oracle engine, exact and under
+   Bloom reduction: identical answers, message logs and audit verdicts,
+   and the Bloom run ships strictly fewer bytes than the exact
+   semi-join on the medical scenario (the wire saving the reducer
+   exists for). *)
 let test_engine_differential () =
   let plan = M.example_plan () in
   let assignment =
@@ -217,17 +230,34 @@ let test_engine_differential () =
     | Ok r -> r.Planner.Safe_planner.assignment
     | Error f -> Alcotest.failf "%a" Planner.Safe_planner.pp_failure f
   in
-  let run ?executor ?bloom () =
-    match
-      Distsim.Engine.execute ?executor ?bloom M.catalog
-        ~instances:M.instances plan assignment
-    with
+  let ok = function
     | Ok o -> o
     | Error e -> Alcotest.failf "%a" Distsim.Engine.pp_error e
   in
-  let naive = run () in
-  let batch = run ~executor:(module Batch.Exec) () in
-  let bloom = run ~executor:(module Batch.Exec) ~bloom:8 () in
+  let run ?bloom () =
+    ok
+      (Distsim.Engine.execute ?bloom M.catalog ~instances:M.instances plan
+         assignment)
+  in
+  let naive =
+    ok
+      (Oracle.Engine.execute M.catalog ~instances:M.instances plan assignment)
+  in
+  let batch = run () in
+  let bloom = run ~bloom:8 () in
+  let naive_bloom =
+    ok
+      (Oracle.Engine.execute ~bloom:8 M.catalog ~instances:M.instances plan
+         assignment)
+  in
+  check Alcotest.(option string) "exact logs agree" None
+    (Oracle.log_mismatch
+       (Distsim.Network.messages batch.network)
+       (Distsim.Network.messages naive.network));
+  check Alcotest.(option string) "bloom logs agree" None
+    (Oracle.log_mismatch
+       (Distsim.Network.messages bloom.network)
+       (Distsim.Network.messages naive_bloom.network));
   check Helpers.relation "batch answer matches" naive.Distsim.Engine.result
     batch.Distsim.Engine.result;
   check Helpers.relation "bloom answer matches" naive.Distsim.Engine.result

@@ -131,7 +131,7 @@ let test_execution () =
            (Distsim.Network.messages network)
        in
        check Alcotest.int "one reduced row" 1
-         (Relation.cardinality back.Distsim.Network.data))
+         (Relation.cardinality (Distsim.Network.data back)))
 
 let test_single_column_match_would_differ () =
   (* Sanity of the fixture: joining on customer alone matches two rate

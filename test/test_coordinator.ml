@@ -94,7 +94,7 @@ let test_coordinated_execution () =
         (Distsim.Network.messages network)
     in
     check Alcotest.int "reduced operand" 2
-      (Relation.cardinality reduced.Distsim.Network.data)
+      (Relation.cardinality (Distsim.Network.data reduced))
 
 let test_coordinator_timing_three_latencies () =
   let plan = R.outcomes_plan () in

@@ -50,11 +50,12 @@ let test_estimate_bounds_null_selection () =
   let p = Predicate.Cmp (y, Predicate.Le, Const (Value.Int 5)) in
   List.iter
     (fun pred ->
-      let naive = Relation.select pred r in
+      let naive = Oracle.Reference.select pred r in
       check Helpers.relation
         (Fmt.str "executors agree on %a" Predicate.pp pred)
         naive
-        (Batch.Exec.select pred r);
+        (Batch.to_relation
+           (Batch.select pred (Batch.of_relation (Batch.Dict.create ()) r)));
       let rows = float_of_int (Relation.cardinality r) in
       let plan =
         Plan.of_algebra (Algebra.Select (pred, Algebra.Relation schema))

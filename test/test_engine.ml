@@ -41,14 +41,15 @@ let test_semijoin_wire_reduction () =
       (fun m -> m.Network.note = "semi-join result for n1")
       (Network.messages network)
   in
-  check Alcotest.int "reduced operand" 3 (Relation.cardinality back.Network.data);
+  check Alcotest.int "reduced operand" 3
+    (Relation.cardinality (Network.data back));
   let fwd =
     List.find
       (fun m -> m.Network.note = "join attributes for n1")
       (Network.messages network)
   in
   check Alcotest.(list string) "only the join attribute" [ "Patient" ]
-    (List.map Attribute.name (Relation.header fwd.Network.data))
+    (List.map Attribute.name (Relation.header (Network.data fwd)))
 
 let test_message_profiles_match_planner () =
   (* The engine recomputes profiles independently; they must coincide

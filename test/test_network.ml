@@ -12,13 +12,13 @@ let sample_network () =
   let r = sample_relation () in
   let p = Authz.Profile.of_base M.insurance in
   let (_ : Relation.t) =
-    Network.send n ~sender:M.s_i ~receiver:M.s_n ~profile:p ~purpose:(Network.Full_operand { join = 0 }) ~note:"first" r
+    Helpers.send n ~sender:M.s_i ~receiver:M.s_n ~profile:p ~purpose:(Network.Full_operand { join = 0 }) ~note:"first" r
   in
   let (_ : Relation.t) =
-    Network.send n ~sender:M.s_i ~receiver:M.s_n ~profile:p ~purpose:(Network.Full_operand { join = 0 }) ~note:"second" r
+    Helpers.send n ~sender:M.s_i ~receiver:M.s_n ~profile:p ~purpose:(Network.Full_operand { join = 0 }) ~note:"second" r
   in
   let (_ : Relation.t) =
-    Network.send n ~sender:M.s_n ~receiver:M.s_h ~profile:p ~purpose:(Network.Full_operand { join = 0 }) ~note:"third" r
+    Helpers.send n ~sender:M.s_n ~receiver:M.s_h ~profile:p ~purpose:(Network.Full_operand { join = 0 }) ~note:"third" r
   in
   n
 
@@ -26,7 +26,7 @@ let test_send_returns_data () =
   let n = Network.create () in
   let r = sample_relation () in
   let returned =
-    Network.send n ~sender:M.s_i ~receiver:M.s_n
+    Helpers.send n ~sender:M.s_i ~receiver:M.s_n
       ~profile:(Authz.Profile.of_base M.insurance) ~purpose:(Network.Full_operand { join = 0 }) ~note:"x" r
   in
   check Helpers.relation "unchanged" r returned
