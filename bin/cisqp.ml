@@ -657,21 +657,25 @@ let impact_cmd =
     List.iter
       (fun i -> Fmt.pr "  %a@." Planner.Revocation.pp_impact i)
       impacts;
-    (* Per-query support sets. *)
+    (* Per-query support sets: the rules each plan's certificate cites. *)
     List.iter2
       (fun sql plan ->
         match Planner.Safe_planner.plan fed.catalog fed.policy plan with
         | Error _ -> Fmt.pr "@.%s: infeasible@." sql
         | Ok { assignment; _ } ->
           (match
-             Planner.Revocation.support fed.catalog fed.policy plan assignment
+             Analysis.Certificate.emit_plan fed.catalog fed.policy plan
+               assignment
            with
-           | Ok rules ->
+           | Ok cert ->
              Fmt.pr "@.%s@.  relies on:@.%a@." sql
                Fmt.(
                  list ~sep:(any "@\n")
                    (fun ppf a -> Fmt.pf ppf "    %a" Authz.Authorization.pp a))
-               rules
+               (List.sort_uniq Authz.Authorization.compare
+                  (List.map
+                     (fun (r : Analysis.Certificate.rule) -> r.auth)
+                     cert.rules))
            | Error msg -> Fmt.pr "@.%s: %s@." sql msg))
       sqls plans
   in

@@ -489,6 +489,31 @@ let emit_plan ?(third_party = false) ?closed catalog policy plan assignment =
           flows = evidenced;
         }
 
+(* The one safety gate every fresh plan and failover replan passes
+   before its first message: a certificate, emitted and checked against
+   the base policy, for closed policies; the Definition 4.2 checker for
+   open-mode ones, which the certificate language does not cover. *)
+let certify ?(third_party = false) ?closed catalog policy plan assignment =
+  let base, joins =
+    match closed with
+    | Some c -> (Chase.policy c, Chase.joins c)
+    | None -> (policy, [])
+  in
+  if Policy.is_open base then
+    match Safety.check ~third_party ?closed catalog policy plan assignment with
+    | Ok _ -> Ok None
+    | Error (`Structure e) -> Error (Fmt.str "%a" Safety.pp_error e)
+    | Error (`Violations vs) ->
+      Error
+        (Fmt.str "assignment is not safe: %a"
+           Fmt.(list ~sep:(any "; ") Safety.pp_violation)
+           vs)
+  else
+    let* cert = emit_plan ~third_party ?closed catalog policy plan assignment in
+    match check_plan ~joins catalog base plan cert with
+    | [] -> Ok (Some cert)
+    | f :: _ -> Error (Fmt.str "%a" pp_failure f)
+
 (* ------------------------------------------------------------------ *)
 (* Rendering.                                                          *)
 

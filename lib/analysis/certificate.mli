@@ -208,6 +208,23 @@ val emit_plan :
   Planner.Assignment.t ->
   (plan_cert, string) result
 
+(** [certify ~third_party ?closed catalog policy plan assignment] — the
+    safety gate a plan passes before its first message. On a closed
+    policy: {!emit_plan}, then {!check_plan} against the {e base}
+    policy ([Chase.policy] of [closed], else [policy]) over the
+    handle's join graph, [Ok (Some cert)] when it checks. On an
+    open-mode policy, outside the certificate language: Definition 4.2
+    decided by {!Planner.Safety.check}, [Ok None] when safe. [Error]
+    names the first emission error, check failure or violation. *)
+val certify :
+  ?third_party:bool ->
+  ?closed:Chase.closed ->
+  Catalog.t ->
+  Policy.t ->
+  Plan.t ->
+  Planner.Assignment.t ->
+  (plan_cert option, string) result
+
 (** {1 Rendering and serialization} *)
 
 (** Human rendering of a join tree, e.g.

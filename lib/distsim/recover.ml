@@ -15,7 +15,6 @@ type failover = {
 
 type reason =
   | No_safe_replan of { dead : Server.t list; failed_at : int }
-  | Replan_unsafe of { dead : Server.t list }
   | Replan_uncertified of { dead : Server.t list; detail : string }
   | Transfer_failed of {
       sender : Server.t;
@@ -60,30 +59,16 @@ type degraded = Relation.t degraded_run
 type outcome = (recovered, degraded) result
 
 let execute_with (type v) (module X : Exec.S with type t = v) ?(helpers = [])
-    ?bloom ?max_failovers ?close_under ?closed ?deadline ?(excluded = []) ?seed
-    catalog policy ~instances ~fault plan =
+    ?bloom ?closed ?deadline ?(excluded = []) ?seed catalog policy ~instances
+    ~fault plan =
   let injector = Fault.start fault in
-  (* One chase handle for the whole recovery: either the caller's
-     long-lived handle (the federation shares its service handle, so
-     grants already chased there are visible here) or one built from
-     [close_under]; its closure is computed lazily on first use and
-     then shared by the planner of every failover attempt and by every
-     independent safety re-proof, instead of re-closing the policy per
-     attempt. When a handle is given, [policy] must be the {e base}
-     policy it closes over — certificates check against the base. *)
-  let closed =
-    match closed with
-    | Some _ as c -> c
-    | None ->
-      Option.map
-        (fun joins -> Authz.Chase.closed_policy ~joins policy)
-        close_under
-  in
-  let max_failovers =
-    match max_failovers with
-    | Some m -> m
-    | None -> Server.Set.cardinal (Catalog.servers catalog)
-  in
+  (* [closed] is the caller's long-lived chase handle (the federation
+     shares its service handle, so grants already chased there are
+     visible here): the planner of every failover attempt and every
+     certificate share its cached closure. [policy] is then the {e base}
+     policy it closes over — certificates check against the base. No
+     more servers can die than the catalog holds. *)
+  let max_failovers = Server.Set.cardinal (Catalog.servers catalog) in
   let segments = ref [] in
   (* newest first *)
   let failovers = ref [] in
@@ -141,31 +126,15 @@ let execute_with (type v) (module X : Exec.S with type t = v) ?(helpers = [])
            { dead = !excluded; failed_at = f.Planner.Third_party.failed_at })
     | Ok { assignment; rescues } ->
       let third_party = rescues <> [] in
-      (* Proof-carrying replan: emit a certificate for the assignment
-         and have the independent linear checker validate it before a
-         single message of this attempt is emitted. Open-mode policies
-         are outside the certificate language, so they carry [None]. *)
+      (* Proof-carrying replan: the replacement passes the one safety
+         gate — a certificate checked against the base policy, or
+         Definition 4.2 on an open-mode policy — before a single
+         message of this attempt is emitted. *)
       let certified =
-        if Authz.Policy.is_open policy then Ok None
-        else
-          match
-            Analysis.Certificate.emit_plan ~third_party ?closed catalog
-              policy plan assignment
-          with
-          | Error detail -> Error detail
-          | Ok cert -> (
-            let joins =
-              match closed with Some c -> Authz.Chase.joins c | None -> []
-            in
-            match
-              Analysis.Certificate.check_plan ~joins catalog policy plan cert
-            with
-            | [] -> Ok (Some cert)
-            | f :: _ -> Error (Fmt.str "%a" Analysis.Certificate.pp_failure f))
+        Analysis.Certificate.certify ~third_party ?closed catalog policy plan
+          assignment
       in
-      let certificate =
-        match certified with Ok c -> c | Error _ -> None
-      in
+      let certificate = Result.value certified ~default:None in
       (match pending with
        | None -> ()
        | Some (dead, permanent, failed_node, died_at) ->
@@ -182,19 +151,10 @@ let execute_with (type v) (module X : Exec.S with type t = v) ?(helpers = [])
              certificate;
            }
            :: !failovers);
-      (* Re-prove Definition 4.2 with the independent checker before a
-         single message of this attempt is emitted. *)
-      (match
-         Planner.Safety.check ~third_party ?closed catalog policy plan
-           assignment
-       with
-       | Error _ -> degraded (Replan_unsafe { dead = !excluded })
-       | Ok _flows when Result.is_error certified ->
-         let detail =
-           match certified with Error d -> d | Ok _ -> assert false
-         in
+      (match certified with
+       | Error detail ->
          degraded (Replan_uncertified { dead = !excluded; detail })
-       | Ok _flows -> run i ~assignment ~certificate ~rescues ~third_party)
+       | Ok _ -> run i ~assignment ~certificate ~rescues ~third_party)
   and run i ~assignment ~certificate ~rescues ~third_party =
     let network = Network.create () in
     segments := network :: !segments;
@@ -298,10 +258,6 @@ let pp_reason ppf = function
     Fmt.pf ppf "no safe replan without %a (blocked at n%d)"
       Fmt.(list ~sep:comma Server.pp)
       dead failed_at
-  | Replan_unsafe { dead } ->
-    Fmt.pf ppf "replan without %a failed the independent safety re-proof"
-      Fmt.(list ~sep:comma Server.pp)
-      dead
   | Replan_uncertified { dead; detail } ->
     Fmt.pf ppf "replan without %a failed certification: %s"
       Fmt.(list ~sep:comma Server.pp)

@@ -9,8 +9,10 @@
     from the candidate universe and the plan is re-planned with
     {!Planner.Safe_planner} (replicated leaves fail over to a surviving
     copy, helpers may step in), then — before a single post-failover
-    message is emitted — the replacement assignment is {e re-proved}
-    safe by the independent {!Planner.Safety} checker. Only then does
+    message is emitted — the replacement assignment passes the safety
+    gate {!Analysis.Certificate.certify}: a certificate validated by
+    the independent linear checker, or on an open-mode policy
+    Definition 4.2 re-decided by {!Planner.Safety}. Only then does
     execution resume, from the root, under the same injector.
 
     The central invariant is {b safety under failure}: no retry,
@@ -56,15 +58,11 @@ type reason =
       (** with the dead servers excluded, no safe assignment exists
           (data lost with its only copy, or the policy leaves no
           authorized executor) *)
-  | Replan_unsafe of { dead : Server.t list }
-      (** the replanned assignment failed the independent safety
-          re-proof — by construction this should never happen; it is a
-          distinct outcome precisely so that it cannot be confused with
-          a legitimate failure *)
   | Replan_uncertified of { dead : Server.t list; detail : string }
-      (** the replanned assignment passed the safety re-proof but its
-          certificate could not be emitted or checked
-          ({!Analysis.Certificate}) — like {!Replan_unsafe}, an
+      (** the replanned assignment failed the safety gate
+          ({!Analysis.Certificate.certify}): its certificate could not
+          be emitted or checked, or (open-mode policy) it is not safe.
+          By construction this should never happen; it is an
           engine-bug tripwire, kept distinct so it cannot be confused
           with a legitimate failure *)
   | Transfer_failed of {
@@ -128,18 +126,15 @@ type outcome = (recovered, degraded) result
 (** [execute_with (module E) catalog policy ~instances ~fault plan]
     plans and runs [plan] under [fault] on executor [E] (production
     passes {!Relalg.Batch}; [instances] are in [E]'s representation).
-    [helpers] are offered to the planner (initial
-    plan and every replan alike); [max_failovers] (default: the number
-    of servers in the catalog) bounds how many servers may be excluded
-    {e during this recovery} before giving up. [close_under] makes
-    planning and every safety re-proof chase-aware: the policy is
-    closed under the given join graph {e once}, through a single
-    {!Authz.Chase.closed} handle shared by all failover attempts.
+    [helpers] are offered to the planner (initial plan and every
+    replan alike). At most as many servers as the catalog holds may be
+    excluded {e during this recovery} before it gives up with
+    {!Failover_limit}.
 
-    [closed] (takes precedence over [close_under]) shares a caller's
-    long-lived chase handle instead; [policy] must then be the base
-    policy the handle closes over, since certificates are checked
-    against the base.
+    [closed] shares a caller's long-lived chase handle: planning and
+    every certificate of every attempt read its cached closure;
+    [policy] must then be the base policy the handle closes over,
+    since certificates are checked against the base.
 
     [deadline] bounds the whole recovery — every attempt's computes,
     sends, retries and backoff waits charge one shared budget of
@@ -149,7 +144,7 @@ type outcome = (recovered, degraded) result
 
     [excluded] pre-excludes servers (e.g. quarantined by circuit
     breakers) from the initial plan and every replan; they do not
-    count against [max_failovers].
+    count against the failover limit.
 
     [seed] supplies attempt 1 with an assignment (+ certificate +
     rescues) the caller already certified — e.g. a federation's cached
@@ -163,8 +158,6 @@ val execute_with :
   (module Exec.S with type t = 'v) ->
   ?helpers:Server.t list ->
   ?bloom:int ->
-  ?max_failovers:int ->
-  ?close_under:Joinpath.Cond.t list ->
   ?closed:Authz.Chase.closed ->
   ?deadline:int ->
   ?excluded:Server.t list ->

@@ -6,7 +6,7 @@ type cached = {
   c_assignment : Planner.Assignment.t;
   c_rescues : Planner.Third_party.rescue list;
   c_certificate : Analysis.Certificate.plan_cert option;
-  c_trace : Planner.Safe_planner.trace option;
+  c_trace : Planner.Safe_planner.trace;
   c_rule_ids : int list;
       (* interned ids of every base/derived rule the certificate's
          witnesses depend on — the revocation sensitivity set *)
@@ -424,41 +424,17 @@ let revoke t auth =
 
 (* ------------------------------------------------------------------ *)
 
-(* Proof-carrying planning: emit a certificate for the fresh plan and
-   have the independent checker validate it against the *base* policy
-   (pre-chase when the federation was created with [close_under]) before
-   the plan is cached or a single message is sent. Open-mode policies
-   are outside the certificate language and carry [None]. *)
-let certify_plan t plan assignment rescues =
-  if Authz.Policy.is_open t.policy then Ok None
-  else
-    let third_party = rescues <> [] in
-    match
-      Analysis.Certificate.emit_plan ~third_party ?closed:t.chase t.catalog
-        t.policy plan assignment
-    with
-    | Error detail -> Error (Uncertified detail)
-    | Ok cert -> (
-      match
-        Analysis.Certificate.check_plan ~joins:t.joins t.catalog
-          (base_policy t) plan cert
-      with
-      | [] -> Ok (Some cert)
-      | f :: _ ->
-        Error (Uncertified (Fmt.str "%a" Analysis.Certificate.pp_failure f)))
-
-(* The planner trace that [explain] serves for a cached plan. The
-   third-party planner reports no trace, so it is re-derived — and kept
-   only when it describes the very assignment the cache will execute,
-   otherwise [explain] falls back to a fresh plan. *)
-let trace_for t plan assignment rescues =
-  let helpers = if rescues = [] then [] else t.helpers in
-  match
-    Planner.Safe_planner.plan ~helpers ?closed:t.chase t.catalog t.policy plan
-  with
-  | Ok { Planner.Safe_planner.assignment = a; trace }
-    when Planner.Assignment.equal a assignment -> Some trace
-  | Ok _ | Error _ -> None
+(* The one planner call behind every fresh plan — [plan_query]'s and
+   [explain]'s alike, so an explained trace is the plan [query] would
+   run: Figure 6 with the helpers, around the quarantine, on the shared
+   chase handle. It returns the assignment and its Figure-7 trace
+   together. *)
+let plan_fresh t plan =
+  Planner.Safe_planner.plan ~helpers:t.helpers ~excluded:t.quarantine
+    ?closed:t.chase t.catalog t.policy plan
+  |> Result.map_error (fun (f : Planner.Safe_planner.failure) ->
+         let advice = Planner.Advisor.advise t.catalog t.policy plan in
+         Infeasible { failed_at = f.failed_at; advice })
 
 (* Remember a successful parse, bounded at 8 texts per cache slot so a
    stream of unique spellings cannot grow the memo without bound. *)
@@ -476,42 +452,44 @@ let plan_query t ?sql query =
   | Some c ->
     touch t c;
     Ok (c, true)
-  | None ->
+  | None -> (
     let plan = Query.to_plan query in
-    (match
-       Planner.Third_party.plan ~excluded:t.quarantine ~helpers:t.helpers
-         ?closed:t.chase t.catalog t.policy plan
-     with
-     | Ok { assignment; rescues } ->
-       (match certify_plan t plan assignment rescues with
-        | Error e -> Error e
-        | Ok certificate ->
-          let c =
-            {
-              c_key = key;
-              c_plan = plan;
-              c_assignment = assignment;
-              c_rescues = rescues;
-              c_certificate = certificate;
-              c_trace = trace_for t plan assignment rescues;
-              c_rule_ids =
-                (match certificate with
-                 | Some cert -> Analysis.Certificate.rule_ids cert
-                 | None -> []);
-              c_servers = servers_of assignment;
-              c_epoch = t.service_epoch;
-              c_health = t.health_epoch;
-              c_used = 0;
-            }
-          in
-          touch t c;
-          cache_insert t key c;
-          Ok (c, false))
-     | Error f ->
-       t.infeasible_count <- t.infeasible_count + 1;
-       let advice = Planner.Advisor.advise t.catalog t.policy plan in
-       Error
-         (Infeasible { failed_at = f.Planner.Third_party.failed_at; advice }))
+    match plan_fresh t plan with
+    | Error e ->
+      t.infeasible_count <- t.infeasible_count + 1;
+      Error e
+    | Ok { assignment; trace } -> (
+      let rescues = Planner.Third_party.rescues plan assignment in
+      (* Proof-carrying planning: the plan passes the safety gate —
+         against the base policy — before it is cached or a single
+         message is sent. *)
+      match
+        Analysis.Certificate.certify ~third_party:(rescues <> [])
+          ?closed:t.chase t.catalog t.policy plan assignment
+      with
+      | Error detail -> Error (Uncertified detail)
+      | Ok certificate ->
+        let c =
+          {
+            c_key = key;
+            c_plan = plan;
+            c_assignment = assignment;
+            c_rescues = rescues;
+            c_certificate = certificate;
+            c_trace = trace;
+            c_rule_ids =
+              (match certificate with
+               | Some cert -> Analysis.Certificate.rule_ids cert
+               | None -> []);
+            c_servers = servers_of assignment;
+            c_epoch = t.service_epoch;
+            c_health = t.health_epoch;
+            c_used = 0;
+          }
+        in
+        touch t c;
+        cache_insert t key c;
+        Ok (c, false)))
 
 let plan_sql t sql =
   (* Fast path: a text seen before maps straight to its canonical key,
@@ -716,27 +694,18 @@ let query ?fault ?deadline ?tenant t sql =
 let explain t sql =
   match parse t sql with
   | Error e -> Error e
-  | Ok query ->
-    let fresh () =
-      let plan = Query.to_plan query in
-      match
-        Planner.Safe_planner.plan ~helpers:t.helpers ?closed:t.chase t.catalog
-          t.policy plan
-      with
-      | Ok { trace; _ } -> Ok trace
-      | Error f ->
-        let advice = Planner.Advisor.advise t.catalog t.policy plan in
-        Error
-          (Infeasible { failed_at = f.Planner.Safe_planner.failed_at; advice })
-    in
+  | Ok query -> (
     (* Serve the explain from the cached, epoch-valid plan when one
        exists, so the trace always describes the assignment [query]
        would actually execute. *)
-    (match find_valid t (Query.canonical query) with
-     | Some ({ c_trace = Some trace; _ } as c) ->
-       touch t c;
-       Ok trace
-     | Some _ | None -> fresh ())
+    match find_valid t (Query.canonical query) with
+    | Some c ->
+      touch t c;
+      Ok c.c_trace
+    | None ->
+      Result.map
+        (fun (r : Planner.Safe_planner.result) -> r.trace)
+        (plan_fresh t (Query.to_plan query)))
 
 type cached_plan = {
   key : string;

@@ -136,10 +136,11 @@ type error =
       (** defence in depth: an executed flow failed the runtime audit —
           the response is withheld *)
   | Uncertified of string
-      (** the plan passed the planner's safety proof but its
-          certificate could not be emitted or independently checked
-          ({!Analysis.Certificate}) — an engine-bug tripwire; the plan
-          is neither cached nor executed *)
+      (** the planner's plan failed the safety gate
+          ({!Analysis.Certificate.certify}): its certificate could not
+          be emitted or independently checked, or (open-mode policy)
+          it is not safe — an engine-bug tripwire; the plan is neither
+          cached nor executed *)
   | Rejected of { reason : reject_reason }
       (** load shedding, always typed, never a silent drop: the
           request was refused {e before} parsing — it consumed no
@@ -177,8 +178,9 @@ val query :
   (response, error) result
 
 (** Planner trace for a query, without executing it. Served from the
-    cached, epoch-valid plan when one exists, so the trace describes
-    the assignment {!query} would actually execute. *)
+    cached, epoch-valid plan when one exists; otherwise planned exactly
+    as {!query} plans (same helpers, quarantine and chase handle). The
+    trace describes the assignment {!query} would actually execute. *)
 val explain : t -> string -> (Planner.Safe_planner.trace, error) result
 
 (** {1 The service layer: grant, revoke, epochs} *)

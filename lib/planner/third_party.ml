@@ -22,7 +22,7 @@ type failure = {
 
 (* A join was rescued when its master is neither operand's executor
    (proxy) or when a coordinator was recorded. *)
-let rescues_of plan assignment =
+let rescues plan assignment =
   List.filter_map
     (fun (n : Plan.node) ->
       match n.op with
@@ -43,7 +43,7 @@ let rescues_of plan assignment =
 let plan ?excluded ?closed ~helpers catalog policy p =
   match Safe_planner.plan ~helpers ?excluded ?closed catalog policy p with
   | Ok { assignment; _ } ->
-    Ok { assignment; rescues = rescues_of p assignment }
+    Ok { assignment; rescues = rescues p assignment }
   | Error (f : Safe_planner.failure) ->
     Error { failed_at = f.failed_at; tried = helpers }
 

@@ -52,4 +52,12 @@ val plan :
   Plan.t ->
   (result, failure) Stdlib.result
 
+(** [rescues plan assignment] — the joins of [plan] that [assignment]
+    hands to a helper: a recorded coordinator, or a master that is
+    neither operand's executor (a proxy). Empty for operand-only
+    assignments. What {!plan} reports, for callers that ran
+    {!Safe_planner.plan} with [helpers] themselves (and kept its
+    trace). *)
+val rescues : Plan.t -> Assignment.t -> rescue list
+
 val pp_rescue : rescue Fmt.t

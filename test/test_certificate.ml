@@ -159,6 +159,78 @@ let test_plan_cert_under_chase () =
     no_failures "chase-closed certificate accepted against the base"
       (check_medical plan cert)
 
+(* The safety gate: certificate-and-check on closed policies (plain
+   and chased), Definition 4.2 on open-mode ones, [Error] for an
+   unsafe assignment under either kind. *)
+let medical_chase () =
+  let handle = Authz.Chase.closed_policy ~joins:M.join_graph M.policy in
+  let plan = M.example_plan () in
+  match
+    Planner.Safe_planner.plan ~closed:handle M.catalog M.policy plan
+  with
+  | Ok r -> (handle, plan, r.Planner.Safe_planner.assignment)
+  | Error f ->
+    Alcotest.failf "planning failed: %a" Planner.Safe_planner.pp_failure f
+
+let certified what = function
+  | Ok (Some cert) -> cert
+  | Ok None -> Alcotest.failf "%s: certified without a certificate" what
+  | Error msg -> Alcotest.failf "%s: %s" what msg
+
+(* A structurally valid but unsafe edit: S_N runs the root join as a
+   regular join (and the projection above it), so it receives
+   Hospital's Physician column, which no policy below lets it see. *)
+let unsafe assignment =
+  let at_s_n n a = Planner.Assignment.set n (Planner.Assignment.executor M.s_n) a in
+  at_s_n 0 (at_s_n 1 assignment)
+
+let test_certify_accepts_planner_output () =
+  let plan, assignment = medical_assignment () in
+  let cert =
+    certified "closed" (C.certify M.catalog M.policy plan assignment)
+  in
+  no_failures "closed certificate checks" (check_medical plan cert);
+  let handle, plan, assignment = medical_chase () in
+  let cert =
+    certified "chased"
+      (C.certify ~closed:handle M.catalog (Authz.Chase.closure handle) plan
+         assignment)
+  in
+  no_failures "chased certificate checks against the base"
+    (check_medical plan cert)
+
+let open_medical =
+  Authz.Policy.open_policy
+    [
+      Authz.Authorization.make_denial
+        ~attrs:(Attribute.Set.singleton (M.attr "Physician"))
+        ~path:Joinpath.empty M.s_n;
+    ]
+
+let test_certify_open_policy () =
+  let plan = M.example_plan () in
+  match Planner.Safe_planner.plan M.catalog open_medical plan with
+  | Error f ->
+    Alcotest.failf "planning failed: %a" Planner.Safe_planner.pp_failure f
+  | Ok r ->
+    check Alcotest.bool "safe open-mode assignment passes without a certificate"
+      true
+      (C.certify M.catalog open_medical plan r.Planner.Safe_planner.assignment
+       = Ok None)
+
+let test_certify_rejects_unsafe () =
+  let plan, assignment = medical_assignment () in
+  check Alcotest.bool "closed policy" true
+    (Result.is_error (C.certify M.catalog M.policy plan (unsafe assignment)));
+  let handle, plan, assignment = medical_chase () in
+  check Alcotest.bool "chased policy" true
+    (Result.is_error
+       (C.certify ~closed:handle M.catalog (Authz.Chase.closure handle) plan
+          (unsafe assignment)));
+  check Alcotest.bool "open-mode policy" true
+    (Result.is_error
+       (C.certify M.catalog open_medical plan (unsafe assignment)))
+
 let test_json_round_trip () =
   let plan, cert = medical_cert () in
   let json = C.plan_to_json cert in
@@ -479,6 +551,10 @@ let suite =
     c "ungranted rule rejected" `Quick test_not_granted;
     c "plan certificate checks" `Quick test_plan_cert_checks;
     c "chase-derived witnesses replay" `Quick test_plan_cert_under_chase;
+    c "certify accepts planner output" `Quick
+      test_certify_accepts_planner_output;
+    c "certify open-mode policies" `Quick test_certify_open_policy;
+    c "certify rejects unsafe assignments" `Quick test_certify_rejects_unsafe;
     c "JSON round-trip" `Quick test_json_round_trip;
     c "forged witnesses rejected" `Quick test_forged_witness;
     c "dropped/fabricated flows rejected" `Quick

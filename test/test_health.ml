@@ -396,6 +396,47 @@ let test_cache_hit_failover_disjoint () =
   check Alcotest.int "not degraded either" 0 s.F.degraded;
   check Alcotest.int "all three served" 3 s.F.queries_served
 
+(* [explain] must describe the assignment [query] serves, also when a
+   quarantine forced the plan around the victim — with the plan cache
+   (the trace is served from the cached entry) and without it (the
+   trace comes from a fresh plan that sees the same quarantine). *)
+let test_explain_matches_quarantined_plan () =
+  List.iter
+    (fun cache_capacity ->
+      let catalog, instances = replicated_fixture () in
+      let fed =
+        F.create ~catalog ~policy:(Authz.Policy.open_policy []) ~instances
+          ?cache_capacity
+          ~health_config:(H.config ~failure_threshold:1 ~cooldown:100 ())
+          ()
+      in
+      let victim =
+        match F.query fed sql with
+        | Ok r -> r.F.location
+        | Error e -> Alcotest.failf "baseline failed: %a" F.pp_error e
+      in
+      (match F.query ~fault:(crash_of victim) fed sql with
+       | Ok _ -> ()
+       | Error e -> Alcotest.failf "not recovered: %a" F.pp_error e);
+      check Alcotest.int "victim quarantined" 1
+        (List.length (F.quarantined_servers fed));
+      let served =
+        match F.query fed sql with
+        | Ok r -> r.F.assignment
+        | Error e -> Alcotest.failf "query failed: %a" F.pp_error e
+      in
+      match F.explain fed sql with
+      | Error e -> Alcotest.failf "explain failed: %a" F.pp_error e
+      | Ok trace ->
+        let explained =
+          List.fold_left
+            (fun a (n, e) -> Planner.Assignment.set n e a)
+            Planner.Assignment.empty trace.Planner.Safe_planner.assign_order
+        in
+        check Alcotest.bool "explain traces the served assignment" true
+          (Planner.Assignment.equal explained served))
+    [ None; Some 0 ]
+
 let suite =
   [
     c "fault: backoff clamped at the ceiling" `Quick
@@ -423,4 +464,6 @@ let suite =
       test_breaker_disabled_never_quarantines;
     c "cache hits disjoint from failovers" `Quick
       test_cache_hit_failover_disjoint;
+    c "explain matches the quarantined plan" `Quick
+      test_explain_matches_quarantined_plan;
   ]

@@ -12,8 +12,17 @@ let planned () =
   | Ok r -> r.Safe_planner.assignment
   | Error f -> Alcotest.failf "%a" Safe_planner.pp_failure f
 
+(* The support set of an assignment — the rules its safety cites, one
+   admitting rule per flow — is the rule list of its certificate. *)
+let support assignment =
+  Result.map
+    (fun (cert : Analysis.Certificate.plan_cert) ->
+      List.map (fun (r : Analysis.Certificate.rule) -> r.auth) cert.rules)
+    (Analysis.Certificate.emit_plan M.catalog M.policy (M.example_plan ())
+       assignment)
+
 let test_support_of_paper_assignment () =
-  match Revocation.support M.catalog M.policy (M.example_plan ()) (planned ()) with
+  match support (planned ()) with
   | Error msg -> Alcotest.fail msg
   | Ok rules ->
     (* Three flows, three distinct admitting rules: 9 (S_N reads
@@ -29,10 +38,11 @@ let test_support_of_paper_assignment () =
       [ 7; 9; 10 ]
 
 let test_support_rejects_unsafe () =
-  let bad =
-    Assignment.set 1 (Assignment.executor M.s_i) (planned ())
-  in
-  match Revocation.support M.catalog M.policy (M.example_plan ()) bad with
+  (* Structurally valid, but S_N, running the root join as a regular
+     join, receives Hospital's Physician column, which no rule grants. *)
+  let at_s_n n a = Assignment.set n (Assignment.executor M.s_n) a in
+  let bad = at_s_n 0 (at_s_n 1 (planned ())) in
+  match support bad with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unsafe assignment got a support set"
 
