@@ -513,50 +513,6 @@ let run_cmd =
         Fmt.(list ~sep:(any "@\n") Distsim.Audit.pp_violation)
         violations
   in
-  let run_faulty fed handle plan fault ~third_party ~makespan ~certify
-      ~deadline ~bloom cert_out =
-    let helpers = if third_party then fed.helpers else [] in
-    match
-      Distsim.Recover.execute ~helpers ?bloom ?deadline fed.catalog
-        fed.policy ~instances:fed.instances ~fault plan
-    with
-    | Error (d : Distsim.Recover.degraded) ->
-      List.iter
-        (fun f -> Fmt.pr "Failover: %a@." Distsim.Recover.pp_failover f)
-        d.Distsim.Recover.failovers;
-      Fmt.pr "Degraded: %a@." Distsim.Recover.pp_reason d.Distsim.Recover.reason;
-      (match d.Distsim.Recover.partial with
-       | [] -> ()
-       | ps ->
-         Fmt.pr "Partial sub-results: %a@."
-           Fmt.(list ~sep:comma (fmt "n%d"))
-           (List.map fst ps));
-      report_audit fed d.Distsim.Recover.log;
-      exit 1
-    | Ok (r : Distsim.Recover.recovered) ->
-      List.iter
-        (fun f -> Fmt.pr "Failover: %a@." Distsim.Recover.pp_failover f)
-        r.Distsim.Recover.failovers;
-      Fmt.pr
-        "Recovered: %d attempt(s), %d retransmission(s), %.3f s of backoff@.@."
-        r.Distsim.Recover.attempts r.Distsim.Recover.retries
-        r.Distsim.Recover.delay;
-      Fmt.pr "Assignment:@.%a@.@.Result (at %a):@.%a@.@.Data flows (all \
-              attempts):@.%a@."
-        Planner.Assignment.pp r.Distsim.Recover.assignment Server.pp
-        r.Distsim.Recover.location Relation.pp r.Distsim.Recover.result
-        Distsim.Network.pp r.Distsim.Recover.log;
-      report_audit fed r.Distsim.Recover.log;
-      if makespan then
-        Fmt.pr "@.Makespan (1 ms latency, 10 MB/s, retries priced):@.%.6f s@."
-          (Distsim.Recover.makespan (Distsim.Timing.uniform ()) fault plan r);
-      if certify then
-        (* Certify the assignment that actually answered, third-party
-           iff a helper had to step in during recovery. *)
-        do_certify fed handle
-          ~third_party:(r.Distsim.Recover.rescues <> [])
-          plan r.Distsim.Recover.assignment cert_out
-  in
   let run fed sql third_party no_semijoins optimize chase certify cert_out
       makespan crashes drop corrupt fault_seed retries deadline bloom =
     if certify && optimize then
@@ -571,37 +527,66 @@ let run_cmd =
      | _ -> ());
     let fed, handle = with_chase chase fed in
     let query = parse_query fed sql in
-    match fault_of crashes drop corrupt fault_seed retries with
-    | Some fault ->
-      (* The supervisor replans (and re-plans on failover) itself; the
-         planning flags of the clean path do not apply. *)
-      let plan = Query.to_plan query in
-      run_faulty fed handle plan fault ~third_party ~makespan ~certify
-        ~deadline ~bloom cert_out
-    | None ->
-      let plan, assignment, _ =
-        plan_query fed query ~third_party ~no_semijoins ~optimize
-      in
-      (match
-         Distsim.Engine.execute ~third_party ?bloom ?deadline
-           fed.catalog ~instances:fed.instances plan assignment
-       with
-       | Error e -> die "execution error: %a" Distsim.Engine.pp_error e
-       | Ok ({ result; location; network; _ } as outcome) ->
-         Fmt.pr "Assignment:@.%a@.@.Result (at %a):@.%a@.@.Data flows:@.%a@."
-           Planner.Assignment.pp assignment Server.pp location Relation.pp
-           result Distsim.Network.pp network;
-         report_audit fed network;
-         if makespan then begin
-           let schedule =
-             Distsim.Timing.makespan (Distsim.Timing.uniform ()) plan
-               assignment outcome
-           in
+    let plan, assignment, _ =
+      plan_query fed query ~third_party ~no_semijoins ~optimize
+    in
+    (* One supervised execution: the planned assignment seeds the first
+       attempt; only a failover replans. Without fault flags the
+       injector is [Fault.reliable] and the fault-only lines stay out. *)
+    let fault = fault_of crashes drop corrupt fault_seed retries in
+    let faulty = Option.is_some fault in
+    let fault = Option.value fault ~default:Distsim.Fault.reliable in
+    let helpers = if third_party then fed.helpers else [] in
+    match
+      Distsim.Recover.execute ~helpers ?bloom ?deadline
+        ~seed:(assignment, None, Planner.Third_party.rescues plan assignment)
+        fed.catalog fed.policy ~instances:fed.instances ~fault plan
+    with
+    | Error { reason = Distsim.Recover.Execution_failed msg; _ } ->
+      die "execution error: %s" msg
+    | Error (d : Distsim.Recover.degraded) ->
+      List.iter
+        (fun f -> Fmt.pr "Failover: %a@." Distsim.Recover.pp_failover f)
+        d.failovers;
+      Fmt.pr "Degraded: %a@." Distsim.Recover.pp_reason d.reason;
+      (match d.partial with
+       | [] -> ()
+       | ps ->
+         Fmt.pr "Partial sub-results: %a@."
+           Fmt.(list ~sep:comma (fmt "n%d"))
+           (List.map fst ps));
+      report_audit fed d.log;
+      exit 1
+    | Ok (r : Distsim.Recover.recovered) ->
+      List.iter
+        (fun f -> Fmt.pr "Failover: %a@." Distsim.Recover.pp_failover f)
+        r.failovers;
+      if faulty then
+        Fmt.pr
+          "Recovered: %d attempt(s), %d retransmission(s), %.3f s of \
+           backoff@.@."
+          r.attempts r.retries r.delay;
+      Fmt.pr "Assignment:@.%a@.@.Result (at %a):@.%a@.@.Data flows%s:@.%a@."
+        Planner.Assignment.pp r.assignment Server.pp r.location Relation.pp
+        r.result
+        (if faulty then " (all attempts)" else "")
+        Distsim.Network.pp r.log;
+      report_audit fed r.log;
+      (if makespan then
+         let model = Distsim.Timing.uniform () in
+         if faulty then
+           Fmt.pr "@.Makespan (1 ms latency, 10 MB/s, retries priced):@.%.6f s@."
+             (Distsim.Recover.makespan model fault plan r)
+         else
            Fmt.pr "@.Makespan (1 ms latency, 10 MB/s):@.%a@."
-             Distsim.Timing.pp_schedule schedule
-         end;
-         if certify then
-           do_certify fed handle ~third_party plan assignment cert_out)
+             Distsim.Timing.pp_schedule
+             (Distsim.Timing.makespan model plan r.assignment r.outcome));
+      if certify then
+        (* Certify the assignment that actually answered, third-party
+           when asked for or when a helper had to step in. *)
+        do_certify fed handle
+          ~third_party:(third_party || r.rescues <> [])
+          plan r.assignment cert_out
   in
   Cmd.v
     (Cmd.info "run"

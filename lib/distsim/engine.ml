@@ -64,17 +64,16 @@ let execute_with (type v) (module E : Exec.S with type t = v)
     match network with Some n -> n | None -> Network.create ()
   in
   let rows = ref [] in
-  (* The query's time budget, in the same logical steps the injector
-     counts (one compute, one transmission attempt or one backoff wait
-     each cost one step). With an injector we charge against its step
-     counter — so retries and backoff chains eat the budget — and
-     without one we keep a local counter charging one step per compute
-     and one per send, so deadlines bite on the clean path too. *)
-  let start_steps = match fault with Some f -> Fault.steps f | None -> 0 in
-  let local_steps = ref 0 in
-  let spent () =
-    match fault with Some f -> Fault.steps f - start_steps | None -> !local_steps
+  (* Every execution runs under an injector — [Fault.reliable] when the
+     caller brings none. The query's time budget is charged against its
+     step counter (one compute, one transmission attempt or one backoff
+     wait each cost one step), so retries and backoff chains eat the
+     budget. Each step is counted, then checked before it takes effect. *)
+  let fault =
+    match fault with Some f -> f | None -> Fault.start Fault.reliable
   in
+  let start_steps = Fault.steps fault in
+  let spent () = Fault.steps fault - start_steps in
   let check_deadline node =
     match deadline with
     | None -> ()
@@ -83,110 +82,95 @@ let execute_with (type v) (module E : Exec.S with type t = v)
       if s > budget then
         raise (Fail (Deadline_exceeded { node; spent = s; budget }))
   in
-  let charge node =
-    incr local_steps;
-    check_deadline node
-  in
   let exec_of (n : Plan.node) =
     match Assignment.find_opt assignment n.id with
     | Some e -> e
     | None -> raise (Fail (Structure (Planner.Safety.Unassigned_node n.id)))
   in
-  (* A compute step at [server]: under fault injection, wait out a
-     transient outage (bounded retries with deterministic backoff);
-     permanent crashes and exhausted retries abort the execution with a
-     typed error the supervisor turns into a failover. *)
+  (* A compute step at [server]: wait out a transient outage (bounded
+     retries with deterministic backoff); permanent crashes and
+     exhausted retries abort the execution with a typed error the
+     supervisor turns into a failover. *)
   let ensure_up server node =
-    match fault with
-    | None -> charge node
-    | Some f ->
-      (match Fault.compute f ~server ~node with
-       | Fault.Up -> check_deadline node
-       | Fault.Permanent ->
-         raise (Fail (Server_down { server; node; permanent = true }))
-       | Fault.Transient ->
-         check_deadline node;
-         let max_retries = (Fault.plan_of f).Fault.max_retries in
-         let rec retry attempt =
-           if attempt > max_retries then
-             raise (Fail (Server_down { server; node; permanent = false }))
-           else begin
-             ignore (Fault.wait f ~attempt);
-             check_deadline node;
-             match Fault.status f server with
-             | Fault.Up -> ()
-             | Fault.Permanent ->
-               raise (Fail (Server_down { server; node; permanent = true }))
-             | Fault.Transient -> retry (attempt + 1)
-           end
-         in
-         retry 1)
+    match Fault.compute fault ~server ~node with
+    | Fault.Up -> check_deadline node
+    | Fault.Permanent ->
+      raise (Fail (Server_down { server; node; permanent = true }))
+    | Fault.Transient ->
+      check_deadline node;
+      let max_retries = (Fault.plan_of fault).Fault.max_retries in
+      let rec retry attempt =
+        if attempt > max_retries then
+          raise (Fail (Server_down { server; node; permanent = false }))
+        else begin
+          ignore (Fault.wait fault ~attempt);
+          check_deadline node;
+          match Fault.status fault server with
+          | Fault.Up -> ()
+          | Fault.Permanent ->
+            raise (Fail (Server_down { server; node; permanent = true }))
+          | Fault.Transient -> retry (attempt + 1)
+        end
+      in
+      retry 1
   in
   (* Every boundary crossing goes through here. The value travels
      compacted (no dead rows) and is priced once, from its own
-     representation; the log keeps it for on-demand decoding. Without
-     an injector this is one logged send. With one, each attempt is
-     logged with its fate — an emission is an emission, delivered or
-     not, so the audit sees dropped and corrupted attempts too — and
-     retries re-emit the same data under the same profile after a
-     deterministic backoff. *)
+     representation; the log keeps it for on-demand decoding. Each
+     attempt is logged with its fate — an emission is an emission,
+     delivered or not, so the audit sees dropped and corrupted attempts
+     too — and retries re-emit the same data under the same profile
+     after a deterministic backoff. An attempt whose step overruns the
+     deadline is neither logged nor delivered. *)
   let xmit ?(payload = Network.Rows) ~node ~sender ~receiver ~profile ~purpose
       ~note value =
     let value = E.compact value in
     let header = E.header value and rows = E.cardinality value in
     let bytes = E.byte_size value and decoded = lazy (E.to_relation value) in
-    let log ?attempt ?delivery () =
-      Network.record network ?attempt ?delivery ~payload ~sender ~receiver
+    let log ?delivery k =
+      Network.record network ~attempt:k ?delivery ~payload ~sender ~receiver
         ~profile ~purpose ~note ~header ~rows ~bytes decoded
     in
-    match fault with
-    | None ->
-      charge node;
-      log ();
-      value
-    | Some f ->
-      let max_attempts = 1 + (Fault.plan_of f).Fault.max_retries in
-      let rec attempt k =
-        let check who =
-          match Fault.status f who with
-          | Fault.Permanent ->
-            raise (Fail (Server_down { server = who; node; permanent = true }))
-          | (Fault.Up | Fault.Transient) as s -> s
-        in
-        let sender_status = check sender in
-        let receiver_status = check receiver in
-        let verdict =
-          if sender_status = Fault.Transient then
-            (* Nothing leaves a downed sender: no emission to log. *)
-            `Mute
-          else if receiver_status = Fault.Transient then `Lost
-          else
-            match Fault.transmission f ~sender ~receiver ~attempt:k with
-            | Fault.Deliver -> `Deliver
-            | Fault.Drop -> `Lost
-            | Fault.Corrupt -> `Corrupt
-        in
-        match verdict with
-        | `Deliver ->
-          log ~attempt:k ();
-          value
-        | (`Mute | `Lost | `Corrupt) as v ->
-          (if v <> `Mute then
-             log ~attempt:k
-               ~delivery:
-                 (if v = `Corrupt then Network.Corrupted else Network.Dropped)
-               ());
-          if k >= max_attempts then
-            raise
-              (Fail (Transfer_failed { sender; receiver; node; attempts = k }))
-          else begin
-            ignore (Fault.wait f ~attempt:k);
-            check_deadline node;
-            attempt (k + 1)
-          end
+    let max_attempts = 1 + (Fault.plan_of fault).Fault.max_retries in
+    let check who =
+      match Fault.status fault who with
+      | Fault.Permanent ->
+        raise (Fail (Server_down { server = who; node; permanent = true }))
+      | (Fault.Up | Fault.Transient) as s -> s
+    in
+    let rec attempt k =
+      let sender_status = check sender in
+      let receiver_status = check receiver in
+      let verdict =
+        if sender_status = Fault.Transient then
+          (* Nothing leaves a downed sender: no emission to log. *)
+          `Mute
+        else if receiver_status = Fault.Transient then `Lost
+        else
+          match Fault.transmission fault ~sender ~receiver ~attempt:k with
+          | Fault.Deliver -> `Deliver
+          | Fault.Drop -> `Lost
+          | Fault.Corrupt -> `Corrupt
       in
       check_deadline node;
-      attempt 1
+      match verdict with
+      | `Deliver ->
+        log k;
+        value
+      | (`Mute | `Lost | `Corrupt) as v ->
+        (if v <> `Mute then
+           log k
+             ~delivery:
+               (if v = `Corrupt then Network.Corrupted else Network.Dropped));
+        if k >= max_attempts then
+          raise (Fail (Transfer_failed { sender; receiver; node; attempts = k }))
+        else begin
+          ignore (Fault.wait fault ~attempt:k);
+          check_deadline node;
+          attempt (k + 1)
+        end
+    in
+    attempt 1
   in
   let rec go (n : Plan.node) : v piece =
     let piece = go_op n in

@@ -35,9 +35,8 @@ type 'v run = {
       (** cardinality of each node's result, by node id — consumed by
           {!Timing} *)
   steps : int;
-      (** logical steps this execution consumed (injector steps under
-          fault injection; one per compute/send otherwise) — what a
-          [deadline] is charged against *)
+      (** logical steps this execution consumed on its injector — what
+          a [deadline] is charged against *)
 }
 
 type outcome = Relation.t run
@@ -85,12 +84,14 @@ val pp_error : error Fmt.t
     accounting is unchanged.
     @raise Invalid_argument if [bloom] is [< 1].
 
-    [fault] (default none) runs the execution under a fault injector:
-    every compute step checks the server's crash windows and every
-    transfer becomes a bounded retransmission loop — each attempt
-    logged to the network with its fate and the {e same} profile, so
-    the audit judges retries exactly as it judges first sends. Without
-    an injector, behaviour is byte-identical to the pre-fault engine.
+    [fault] (default a fresh {!Fault.reliable} injector) is the
+    injector every execution runs under: each compute step checks the
+    server's crash windows and each transfer is a bounded
+    retransmission loop, every attempt logged to the network with its
+    fate and the {e same} profile, so the audit judges retries exactly
+    as it judges first sends. Under [Fault.reliable] that is one step
+    per compute, one per send, every send delivered at its first
+    attempt.
 
     [network] (default a fresh log) lets a supervisor accumulate the
     emissions of several execution attempts into one auditable log.
@@ -98,9 +99,10 @@ val pp_error : error Fmt.t
     [deadline] (default none) bounds the query's logical time: when
     the steps consumed by this execution exceed the budget — retries,
     backoff waits and outage probes included — it aborts with
-    [Deadline_exceeded]. Under an injector the budget is charged
-    against the injector's step counter from the moment [execute] is
-    entered; without one, one step per compute and one per send.
+    [Deadline_exceeded]. The budget is charged against the injector's
+    step counter from the moment [execute] is entered, and each step
+    is counted, then checked before it takes effect: a send whose step
+    overruns the budget is neither logged nor delivered.
 
     [observe] (default none) is called with each completed node's id
     and value — the hook {!Recover} uses to salvage partial results

@@ -63,8 +63,9 @@ type plan = {
           plan cannot grow logical time without bound *)
 }
 
-(** No crashes, perfect links: running under [reliable] is
-    behaviourally identical to running with no injector at all. *)
+(** No crashes, perfect links: the plan every execution runs under when
+    its caller brings none — each compute and each send costs one step,
+    and every send is delivered at its first attempt. *)
 val reliable : plan
 
 val make :

@@ -109,9 +109,8 @@ let execute_with (type v) (module X : Exec.S with type t = v) ?(helpers = [])
        | Some (assignment, certificate, rescues), 1, None ->
          (* The caller seeded attempt 1 with an assignment it already
             certified (the federation's plan cache, whose epoch gate
-            just passed): execute it directly, exactly as the clean
-            path executes cached plans without a fresh proof. Any
-            failover replans — and re-proves — from scratch. *)
+            just passed): execute it directly, without a fresh proof.
+            Any failover replans — and re-proves — from scratch. *)
          run i ~assignment ~certificate ~rescues
            ~third_party:(rescues <> [])
        | _ -> replan i ~pending)

@@ -149,8 +149,9 @@ type outcome = (recovered, degraded) result
     [seed] supplies attempt 1 with an assignment (+ certificate +
     rescues) the caller already certified — e.g. a federation's cached
     plan whose epoch gate just passed — skipping the initial replan
-    and re-proof, exactly as the clean path executes cached plans.
-    Failovers still replan and re-prove from scratch.
+    and re-proof — how the federation runs every cached plan and
+    [cisqp run] every planned one. Failovers still replan and re-prove
+    from scratch.
 
     [bloom] is passed to every {!Engine.execute_with} attempt
     unchanged (see there). *)

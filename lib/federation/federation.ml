@@ -513,11 +513,13 @@ let plan_sql t sql =
     | Error e -> Error e
     | Ok query -> plan_query t ~sql query)
 
-(* Audit a log (defence in depth) and, on success, fold it into the
-   federation's compliance record and traffic counters. A cache hit is
-   counted only here — when the response is actually served. *)
-let admit t ~from_cache network k =
-  match Distsim.Audit.run t.policy network with
+(* Audit a log (defence in depth) and, when it is clean, fold its
+   entries into the federation's compliance record before [k] settles
+   the outcome. Served and failed runs alike pass through here: even a
+   failed run's emissions belong in the compliance log, and an audit
+   violation takes precedence over whatever the run returned. *)
+let admit t log k =
+  match Distsim.Audit.run t.policy log with
   | Error violations ->
     Error
       (Audit_violation
@@ -526,13 +528,7 @@ let admit t ~from_cache network k =
             violations))
   | Ok entries ->
     t.audit_entries <- List.rev_append entries t.audit_entries;
-    t.queries_served <- t.queries_served + 1;
-    if from_cache then t.cache_hits <- t.cache_hits + 1;
-    let messages = Distsim.Network.message_count network in
-    let bytes = Distsim.Network.total_bytes network in
-    t.total_messages <- t.total_messages + messages;
-    t.total_bytes <- t.total_bytes + bytes;
-    Ok (k ~messages ~bytes)
+    k ()
 
 (* Failures the breakers learn from a recovery: every server the
    supervisor wrote off during {e this} query (quarantined servers it
@@ -584,111 +580,79 @@ let query ?fault ?deadline ?tenant t sql =
       match plan_sql t sql with
       | Error e -> Error e
       | Ok (cached, from_cache) ->
-        (match fault with
-         | None ->
-           let third_party = cached.c_rescues <> [] in
-           (match
-              Distsim.Engine.execute_with (module Batch) ~third_party
-                ?deadline t.catalog ~instances:t.instances cached.c_plan
-                cached.c_assignment
-            with
-            | Error (Distsim.Engine.Deadline_exceeded { spent; budget; _ }) ->
-              t.deadline_exceeded_count <- t.deadline_exceeded_count + 1;
-              Error (Deadline_exceeded { spent; budget })
-            | Error e ->
-              Error (Execution_error (Fmt.str "%a" Distsim.Engine.pp_error e))
-            | Ok { result; location; network; steps; _ } ->
-              if t.breaker then
-                Distsim.Health.observe_log t.health ~now:t.clock network;
-              admit t ~from_cache network (fun ~messages ~bytes ->
-                  {
-                    plan = cached.c_plan;
-                    assignment = cached.c_assignment;
-                    certificate = cached.c_certificate;
-                    rescues = cached.c_rescues;
-                    result = Batch.to_relation result;
-                    location;
-                    messages;
-                    bytes;
-                    from_cache;
-                    failovers = [];
-                    steps;
-                  }))
-         | Some fault ->
-           (* The epoch and health gates just passed, so the cached
-              assignment — certified when it was planned — seeds the
-              supervisor's first attempt directly; any failover replans
-              around the union of the quarantine and whatever dies, and
-              is re-certified before its first message. The policy we
-              hand over is the {e base} policy (with the shared chase
-              handle), because certificates check against the base. *)
-           (match
-              Distsim.Recover.execute_with (module Batch) ~helpers:t.helpers
-                ?closed:t.chase ?deadline ~excluded:t.quarantine
-                ~seed:(cached.c_assignment, cached.c_certificate,
-                       cached.c_rescues)
-                t.catalog (base_policy t) ~instances:t.instances ~fault
-                cached.c_plan
-              |> Distsim.Recover.decode Batch.to_relation
-            with
-            | Ok (r : Distsim.Recover.recovered) ->
-              feed_breakers t
-                ~newly_dead:r.Distsim.Recover.excluded
-                r.Distsim.Recover.log;
-              refresh_quarantine t;
+        (* The epoch and health gates just passed, so the cached
+           assignment — certified when it was planned — seeds the
+           supervisor's first attempt directly; any failover replans
+           around the union of the quarantine and whatever dies, and is
+           re-certified before its first message. The policy we hand
+           over is the {e base} policy (with the shared chase handle),
+           because certificates check against the base. Without a fault
+           plan the supervisor runs under [Fault.reliable]: one
+           execution path, one deadline rule, one audit. *)
+        let fault = Option.value fault ~default:Distsim.Fault.reliable in
+        let outcome =
+          Distsim.Recover.execute_with (module Batch) ~helpers:t.helpers
+            ?closed:t.chase ?deadline ~excluded:t.quarantine
+            ~seed:(cached.c_assignment, cached.c_certificate, cached.c_rescues)
+            t.catalog (base_policy t) ~instances:t.instances ~fault
+            cached.c_plan
+          |> Distsim.Recover.decode Batch.to_relation
+        in
+        let log, newly_dead =
+          match outcome with
+          | Ok r -> (r.log, r.excluded)
+          | Error d -> (d.log, d.excluded)
+        in
+        feed_breakers t ~newly_dead log;
+        refresh_quarantine t;
+        admit t log (fun () ->
+            match outcome with
+            | Ok r ->
               (* A response that needed a failover was not served by
                  the cached plan — the cache produced the seed attempt,
                  but what answered was a fresh replan. Count the hit
                  only when the cached assignment itself answered, so
                  [cache_hits] and failover work stay disjoint. *)
-              admit t ~from_cache:(from_cache && r.failovers = []) r.log
-                (fun ~messages ~bytes ->
-                  {
-                    plan = cached.c_plan;
-                    assignment = r.assignment;
-                    certificate = r.certificate;
-                    rescues = r.rescues;
-                    result = r.result;
-                    location = r.location;
-                    messages;
-                    bytes;
-                    from_cache = from_cache && r.failovers = [];
-                    failovers = r.failovers;
-                    steps = r.steps;
-                  })
-            | Error (d : Distsim.Recover.degraded) ->
-              feed_breakers t
-                ~newly_dead:d.Distsim.Recover.excluded
-                d.Distsim.Recover.log;
-              refresh_quarantine t;
-              (* Even a failed run's emissions belong in the compliance
-                 log; an audit violation still takes precedence. *)
-              (match Distsim.Audit.run t.policy d.log with
-               | Error violations ->
-                 Error
-                   (Audit_violation
-                      (Fmt.str "%a"
-                         Fmt.(list ~sep:(any "; ") Distsim.Audit.pp_violation)
-                         violations))
-               | Ok entries ->
-                 t.audit_entries <- List.rev_append entries t.audit_entries;
-                 (match d.reason with
-                  | Distsim.Recover.Deadline_exceeded { spent; budget } ->
-                    (* Disjoint from [degraded]: a deadline miss is its
-                       own outcome, not a recovery failure. *)
-                    t.deadline_exceeded_count <-
-                      t.deadline_exceeded_count + 1;
-                    Error (Deadline_exceeded { spent; budget })
-                  | _ ->
-                    t.degraded_count <- t.degraded_count + 1;
-                    Error
-                      (Degraded
-                         {
-                           reason = d.reason;
-                           failovers = List.length d.failovers;
-                           partial = d.partial;
-                           failed_node = d.failed_node;
-                         })))))
+              let from_cache = from_cache && r.failovers = [] in
+              let messages = Distsim.Network.message_count log in
+              let bytes = Distsim.Network.total_bytes log in
+              t.queries_served <- t.queries_served + 1;
+              if from_cache then t.cache_hits <- t.cache_hits + 1;
+              t.total_messages <- t.total_messages + messages;
+              t.total_bytes <- t.total_bytes + bytes;
+              Ok
+                {
+                  plan = cached.c_plan;
+                  assignment = r.assignment;
+                  certificate = r.certificate;
+                  rescues = r.rescues;
+                  result = r.result;
+                  location = r.location;
+                  messages;
+                  bytes;
+                  from_cache;
+                  failovers = r.failovers;
+                  steps = r.steps;
+                }
+            | Error { reason = Distsim.Recover.Deadline_exceeded d; _ } ->
+              (* Disjoint from [degraded]: a deadline miss is its own
+                 outcome, not a recovery failure. *)
+              t.deadline_exceeded_count <- t.deadline_exceeded_count + 1;
+              Error (Deadline_exceeded { spent = d.spent; budget = d.budget })
+            | Error { reason = Distsim.Recover.Execution_failed msg; _ } ->
+              (* Nor is a structural error or a missing instance: no
+                 fault the supervisor could have survived. *)
+              Error (Execution_error msg)
+            | Error d ->
+              t.degraded_count <- t.degraded_count + 1;
+              Error
+                (Degraded
+                   {
+                     reason = d.reason;
+                     failovers = List.length d.failovers;
+                     partial = d.partial;
+                     failed_node = d.failed_node;
+                   }))
     end
 
 let explain t sql =

@@ -121,6 +121,9 @@ type error =
           (** minimal grants that would repair it, when one exists *)
     }
   | Execution_error of string
+      (** a non-fault engine error (a structural error or a missing
+          instance), with or without a fault plan — never counted as
+          [Degraded] *)
   | Degraded of {
       reason : Distsim.Recover.reason;
       failovers : int;  (** failovers that {e did} succeed before *)
@@ -129,7 +132,7 @@ type error =
               failed outright, non-empty is an honest partial answer *)
       failed_node : int option;
     }
-      (** a fault-injected run could not be recovered; never a silent
+      (** a fault left the run unrecoverable; never a silent
           wrong answer ([Ok] with [failovers <> []] is the "answered
           after failover" case) *)
   | Audit_violation of string
@@ -156,12 +159,14 @@ val pp_error : error Fmt.t
 (** Serve one SQL query. Plans are cached under the canonical query
     key and validated against the current policy epoch — and, with
     breakers enabled, against the current quarantine set — before any
-    message is sent; execution and auditing always run. [fault] runs
-    the query under fault injection via {!Distsim.Recover.execute}:
-    message-level faults are absorbed by retransmission, dead servers
-    by safe replanning seeded with the cached (already certified)
-    assignment; the cumulative log of every attempt is audited,
-    accumulated, and fed to the circuit breakers.
+    message is sent; execution and auditing always run. Every query
+    runs through the supervisor {!Distsim.Recover.execute_with}, seeded
+    with the cached (already certified) assignment, under [fault]
+    (default {!Distsim.Fault.reliable}): message-level faults are
+    absorbed by retransmission, dead servers by safe replanning; the
+    cumulative log of every attempt — served, degraded or over its
+    deadline — is audited, accumulated, and fed to the circuit
+    breakers.
 
     [deadline] bounds the query in logical steps (see
     {!Distsim.Engine.execute}); a blown budget returns a typed
@@ -272,7 +277,7 @@ val health_report : t -> Distsim.Health.snapshot list
 type stats = {
   queries_served : int;  (** responses actually served *)
   infeasible : int;
-  degraded : int;  (** fault-injected runs that could not be recovered *)
+  degraded : int;  (** runs a fault left unrecoverable *)
   cache_hits : int;
       (** counted only when the response was served by the cached
           assignment itself — disjoint from failover/degraded work *)

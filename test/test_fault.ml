@@ -122,18 +122,25 @@ let execute_with fault =
     Engine.execute ~fault:(Fault.start fault) M.catalog ~instances:M.instances
       plan assignment )
 
+(* The engine always runs under an injector, so a reliable run is held
+   to the relation-backed oracle rather than to itself: same answer,
+   same steps, the same messages one for one, none retransmitted. *)
 let test_reliable_engine_run_unchanged () =
   let plan, faulty = execute_with Fault.reliable in
-  let clean =
-    Engine.execute M.catalog ~instances:M.instances plan
+  let oracle =
+    Oracle.Engine.execute M.catalog ~instances:M.instances plan
       (medical_assignment plan)
   in
-  match (faulty, clean) with
-  | Ok f, Ok c ->
-    check Helpers.relation "same answer" c.Engine.result f.Engine.result;
-    check Alcotest.int "same traffic"
-      (Network.message_count c.Engine.network)
-      (Network.message_count f.Engine.network);
+  match (faulty, oracle) with
+  | Ok f, Ok o ->
+    check Helpers.relation "same answer" o.Engine.result f.Engine.result;
+    check Alcotest.int "same steps" o.Engine.steps f.Engine.steps;
+    check
+      Alcotest.(option string)
+      "same messages" None
+      (Oracle.log_mismatch
+         (Network.messages f.Engine.network)
+         (Network.messages o.Engine.network));
     check Alcotest.int "no retransmissions" 0
       (Network.retransmissions f.Engine.network)
   | _ -> Alcotest.fail "reliable run failed"

@@ -200,9 +200,85 @@ let test_federation_deadline () =
   let s = F.stats fed in
   check Alcotest.int "one deadline miss" 1 s.F.deadline_exceeded;
   check Alcotest.int "deadline misses are not degradations" 0 s.F.degraded;
-  match F.query ~deadline:0 fed M.example_query_sql with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "non-positive deadline accepted"
+  (match F.query ~deadline:0 fed M.example_query_sql with
+   | exception Invalid_argument _ -> ()
+   | _ -> Alcotest.fail "non-positive deadline accepted");
+  (* One deadline rule and one audit, with or without a fault plan: at
+     every budget up to one past the full run, the default and the
+     [Fault.reliable] query agree on the outcome, the steps spent and
+     the audit entries recorded — and a miss after a send leaves that
+     send audited. The sends that fit a budget come from the injector's
+     schedule of the same execution. *)
+  let full =
+    match F.query (medical ()) M.example_query_sql with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "unbudgeted run failed: %a" F.pp_error e
+  in
+  let schedule =
+    match
+      Distsim.Recover.execute
+        ~seed:(full.F.assignment, full.F.certificate, full.F.rescues)
+        M.catalog M.policy ~instances:M.instances ~fault:Distsim.Fault.reliable
+        full.F.plan
+    with
+    | Ok r -> r.Distsim.Recover.schedule
+    | Error d ->
+      Alcotest.failf "reliable rerun failed: %a" Distsim.Recover.pp_reason
+        d.Distsim.Recover.reason
+  in
+  let sends_within b =
+    List.length
+      (List.filter
+         (function
+           | Distsim.Fault.Attempted { step; _ } -> step <= b | _ -> false)
+         schedule)
+  in
+  let plain = medical () and faulted = medical () in
+  let served fed ?fault b =
+    let before = List.length (F.audit_log fed) in
+    let outcome =
+      match F.query ?fault ~deadline:b fed M.example_query_sql with
+      | Ok r -> `Served r.F.steps
+      | Error (F.Deadline_exceeded { spent; _ }) -> `Missed spent
+      | Error e -> Alcotest.failf "budget %d: wrong error: %a" b F.pp_error e
+    in
+    (outcome, List.length (F.audit_log fed) - before)
+  in
+  for b = 1 to full.F.steps + 1 do
+    let what = Printf.sprintf "budget %d" b in
+    let p, p_audit = served plain b in
+    let f, f_audit = served faulted ~fault:Distsim.Fault.reliable b in
+    check Alcotest.bool (what ^ ": same outcome and steps") true (p = f);
+    check Alcotest.int (what ^ ": same audit growth") p_audit f_audit;
+    match p with
+    | `Served steps ->
+      check Alcotest.int (what ^ ": full run") full.F.steps steps;
+      check Alcotest.int (what ^ ": every send audited") full.F.messages
+        p_audit
+    | `Missed spent ->
+      check Alcotest.bool (what ^ ": a miss needs a short budget") true
+        (b < full.F.steps);
+      check Alcotest.int (what ^ ": overran by one step") (b + 1) spent;
+      check Alcotest.int (what ^ ": sends before the miss audited")
+        (sends_within b) p_audit
+  done
+
+(* A missing instance is an execution error, not a fault the supervisor
+   failed to survive — with or without a fault plan, and never counted
+   as a degradation. *)
+let test_execution_error_not_degraded () =
+  let instances name = if name = "Hospital" then None else M.instances name in
+  let fed = F.create ~catalog:M.catalog ~policy:M.policy ~instances () in
+  List.iter
+    (fun (what, fault) ->
+      match F.query ?fault fed M.example_query_sql with
+      | Error (F.Execution_error msg) ->
+        check Alcotest.bool (what ^ ": names the relation") true
+          (Helpers.contains ~sub:"Hospital" msg)
+      | Ok _ -> Alcotest.failf "%s: served without an instance" what
+      | Error e -> Alcotest.failf "%s: wrong error: %a" what F.pp_error e)
+    [ ("default", None); ("reliable", Some Distsim.Fault.reliable) ];
+  check Alcotest.int "no degradation" 0 (F.stats fed).F.degraded
 
 (* ------------------------------------------------------------------ *)
 (* Admission control and per-tenant quotas.                            *)
@@ -454,6 +530,8 @@ let suite =
     c "engine deadline" `Quick test_engine_deadline;
     c "recover deadline" `Quick test_recover_deadline;
     c "federation deadline" `Quick test_federation_deadline;
+    c "execution errors are not degradations" `Quick
+      test_execution_error_not_degraded;
     c "admission sheds typed" `Quick test_admission_sheds_typed;
     c "tenant quota" `Quick test_tenant_quota;
     c "breaker quarantines and reroutes" `Quick
